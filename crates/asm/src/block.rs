@@ -7,6 +7,10 @@ use crate::inst::{Inst, MnemonicClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// `(offset, len)` of each instruction within an encoded block, as
+/// recorded by [`BasicBlock::encode_spanned`].
+pub type InstSpans = Vec<(u32, u32)>;
+
 /// A straight-line sequence of instructions.
 ///
 /// As in the published BHive suite, blocks contain no control flow: a
@@ -76,7 +80,7 @@ impl BasicBlock {
     /// # Errors
     ///
     /// Propagates the first [`AsmError`] from [`crate::encode_inst`].
-    pub fn encode_spanned(&self) -> Result<(Vec<u8>, Vec<(u32, u32)>), AsmError> {
+    pub fn encode_spanned(&self) -> Result<(Vec<u8>, InstSpans), AsmError> {
         let mut out = Vec::with_capacity(self.insts.len() * 4);
         let mut spans = Vec::with_capacity(self.insts.len());
         for inst in &self.insts {

@@ -53,7 +53,7 @@ mod reg;
 mod spec;
 
 pub use att::{parse_block_att, parse_inst_att};
-pub use block::{fnv1a_64, BasicBlock, BlockBuilder};
+pub use block::{fnv1a_64, BasicBlock, BlockBuilder, InstSpans};
 pub use cond::Cond;
 pub use decode::{decode_inst, decode_stream};
 pub use encode::{encode_inst, encoded_len};

@@ -258,13 +258,13 @@ fn main() {
     println!("}}");
 }
 
-/// Times the schedule-independent preparation, then the simulate passes
-/// the pipeline actually replays against it: the profiler prepares once
-/// and runs `simulate_double` (warm-up + measured, the paper's double
-/// execution) for both unroll prefixes — four passes per prepared block.
-/// `simulate_ns_per_block` is the mean cost of one such pass, i.e. the
-/// marginal per-pass price the worker machines pay, not the cost of an
-/// isolated cold pass that no production path performs.
+/// Times the schedule-independent preparation, then the paper's literal
+/// double execution (a warm-up and a measured pass) for both unroll
+/// prefixes — four simulated passes per prepared block.
+/// `simulate_ns_per_block` is the mean cost of one such pass. The
+/// profiler's `simulate_double` simulates only the two measured passes:
+/// it replaces each warm-up with a cache-state replay, so this figure
+/// prices a pass, not what a profiled block pays in total.
 ///
 /// Like `cold_1t`, each stage takes the best of [`STAGE_REPS`] repeats so
 /// one scheduling hiccup cannot sink the number; the caches are flushed

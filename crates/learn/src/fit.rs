@@ -96,17 +96,18 @@ pub fn fit_ols(xs: &[Vec<f64>], ys: &[f64]) -> Result<OlsFit, FitError> {
     // [A | b] system.
     let mut a = vec![vec![0.0f64; n + 1]; n];
     for (i, &y) in ys.iter().enumerate() {
-        for j in 0..n {
+        for (j, a_j) in a.iter_mut().enumerate() {
             let xj = row(i, j);
-            for (k, a_jk) in a[j].iter_mut().enumerate().take(n).skip(j) {
+            for (k, a_jk) in a_j.iter_mut().enumerate().take(n).skip(j) {
                 *a_jk += xj * row(i, k);
             }
-            a[j][n] += xj * y;
+            a_j[n] += xj * y;
         }
     }
-    for j in 0..n {
-        for k in 0..j {
-            a[j][k] = a[k][j];
+    for j in 1..n {
+        let (above, rest) = a.split_at_mut(j);
+        for (a_jk, a_k) in rest[0].iter_mut().zip(above.iter()) {
+            *a_jk = a_k[j];
         }
     }
 
@@ -127,10 +128,12 @@ pub fn fit_ols(xs: &[Vec<f64>], ys: &[f64]) -> Result<OlsFit, FitError> {
             return Err(FitError::RankDeficient);
         }
         a.swap(col, pivot_row);
-        for r in (col + 1)..n {
-            let factor = a[r][col] / a[col][col];
-            for c in col..=n {
-                a[r][c] -= factor * a[col][c];
+        let (top, below) = a.split_at_mut(col + 1);
+        let pivot = &top[col];
+        for a_r in below.iter_mut() {
+            let factor = a_r[col] / pivot[col];
+            for (a_rc, &p) in a_r[col..].iter_mut().zip(&pivot[col..]) {
+                *a_rc -= factor * p;
             }
         }
     }

@@ -319,16 +319,13 @@ fn draining_server_rejects_new_misses() {
     server.handle.shutdown();
     // Wait for the accept loop to notice and set draining.
     std::thread::sleep(Duration::from_millis(50));
-    match client.roundtrip(&predict(2, SUB)) {
-        Ok(answer) => {
-            assert!(
-                answer.contains(r#""reason":"draining""#),
-                "draining rejections for misses: {answer}"
-            );
-        }
-        // The connection may already have been closed by the drain —
-        // equally correct: no new work was accepted.
-        Err(_) => {}
+    // The connection may already have been closed by the drain —
+    // equally correct: no new work was accepted.
+    if let Ok(answer) = client.roundtrip(&predict(2, SUB)) {
+        assert!(
+            answer.contains(r#""reason":"draining""#),
+            "draining rejections for misses: {answer}"
+        );
     }
     drop(client);
     let summary = server.thread.join().expect("thread").expect("run ok");

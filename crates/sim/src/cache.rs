@@ -4,6 +4,11 @@
 //! (VIPT), exactly the property the paper's single-physical-page mapping
 //! exploits: every virtual page aliases the same physical frame, so the
 //! cache sees one page's worth of lines and never misses after warm-up.
+//! Because such a working set fits without evictions, the warm-up's end
+//! state is just the set of lines the block touches, whatever order it
+//! touches them in: [`Cache::fill_no_evict`] builds that state directly,
+//! and `Machine::simulate_double` uses it in place of a simulated
+//! warm-up pass.
 
 use bhive_uarch::CacheParams;
 
@@ -57,17 +62,7 @@ impl Cache {
     /// hit.
     #[inline]
     pub fn access(&mut self, index_addr: u64, tag_addr: u64) -> bool {
-        let (set, tag) = if self.line_shift != u32::MAX {
-            (
-                ((index_addr >> self.line_shift) & self.set_mask) as usize,
-                tag_addr >> self.line_shift,
-            )
-        } else {
-            (
-                ((index_addr / self.line_bytes) % self.sets) as usize,
-                tag_addr / self.line_bytes,
-            )
-        };
+        let (set, tag) = self.locate(index_addr, tag_addr);
         self.use_counter += 1;
         let base = set * self.ways;
         let tags = &mut self.tags[base..base + self.ways];
@@ -98,6 +93,46 @@ impl Cache {
         tags[victim] = tag;
         uses[victim] = self.use_counter;
         false
+    }
+
+    /// Installs the line for a VIPT access without ever evicting: a no-op
+    /// when the line is present, a fill into an invalid way otherwise.
+    /// Returns `Some(true)` for a fill, `Some(false)` for a line already
+    /// present, and `None` — leaving the cache untouched — when every way
+    /// of the set holds another line.
+    ///
+    /// Filling a set of lines this way ends in the same line set whatever
+    /// the fill order, which is what lets the simulator replace a
+    /// warm-up pass (whose out-of-order issue order decides the access
+    /// order) with a fill in program order.
+    pub fn fill_no_evict(&mut self, index_addr: u64, tag_addr: u64) -> Option<bool> {
+        let (set, tag) = self.locate(index_addr, tag_addr);
+        let base = set * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
+        if tags.contains(&tag) {
+            return Some(false);
+        }
+        let free = tags.iter().position(|&t| t == u64::MAX)?;
+        tags[free] = tag;
+        self.use_counter += 1;
+        self.last_use[base + free] = self.use_counter;
+        Some(true)
+    }
+
+    /// `(set index, tag)` of a VIPT access.
+    #[inline]
+    fn locate(&self, index_addr: u64, tag_addr: u64) -> (usize, u64) {
+        if self.line_shift != u32::MAX {
+            (
+                ((index_addr >> self.line_shift) & self.set_mask) as usize,
+                tag_addr >> self.line_shift,
+            )
+        } else {
+            (
+                ((index_addr / self.line_bytes) % self.sets) as usize,
+                tag_addr / self.line_bytes,
+            )
+        }
     }
 
     /// The cache line size in bytes.
@@ -216,6 +251,24 @@ mod tests {
         assert!(!c.access(0x2000, 0x2000));
         assert!(c.access(0x0, 0x0));
         assert!(!c.access(0x1000, 0x1000));
+    }
+
+    #[test]
+    fn fill_no_evict_never_evicts() {
+        let mut c = Cache::new(bhive_uarch::CacheParams {
+            size_bytes: 2 * 64,
+            line_bytes: 64,
+            ways: 2,
+        });
+        // One set, two ways: two fills, a repeat, then a refused third.
+        assert_eq!(c.fill_no_evict(0x0, 0x0), Some(true));
+        assert_eq!(c.fill_no_evict(0x1000, 0x1000), Some(true));
+        assert_eq!(c.fill_no_evict(0x10, 0x10), Some(false));
+        assert_eq!(c.fill_no_evict(0x2000, 0x2000), None);
+        assert_eq!(c.valid_lines(), 2);
+        assert!(c.access(0x0, 0x0));
+        assert!(c.access(0x1000, 0x1000));
+        assert!(!c.access(0x2000, 0x2000), "the refused line was not filled");
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use simd::SimdTier;
 pub use state::{CpuState, Flags, Mxcsr};
 pub use timing::{
     CodeLayout, DynInst, NonConvergence, PreparedTrace, SimScratch, StaticPrep, TimingModel,
-    TimingResult,
+    TimingResult, WarmupFallback,
 };

@@ -429,9 +429,22 @@ impl Machine {
     }
 
     /// The paper's double execution over the prepared trace's first
-    /// `n_insts` instructions: flushes the arena caches (a flushed cache
-    /// is bit-identical to a cold one), runs a warm-up pass, and returns
-    /// the measured pass. Allocation-free after the first call.
+    /// `n_insts` instructions: a warm-up pass from cold caches whose
+    /// result is discarded, then the measured pass, which is returned.
+    /// Allocation-free after the first call.
+    ///
+    /// The warm-up only prepares cache state, so it is not simulated:
+    /// [`TimingModel::warm_caches`] builds that state directly and
+    /// proves the warm-up would have converged. The result is identical
+    /// to simulating both passes from flushed caches (a flushed cache is
+    /// bit-identical to a cold one), which is still done when
+    ///
+    /// * (a) an L1D set would need an eviction, so the warm-up's end state
+    ///   depends on its issue order;
+    /// * (b) the measured pass fails to converge: the literal pair then
+    ///   reports whichever pass fails first, with its exact counts;
+    /// * (c) the static bound cannot show that the cold warm-up fits its
+    ///   cycle budget.
     ///
     /// # Errors
     ///
@@ -452,6 +465,11 @@ impl Machine {
         } = &mut self.timing;
         let l1i = l1i.get_or_insert_with(|| Cache::new(uarch.l1i));
         let l1d = l1d.get_or_insert_with(|| Cache::new(uarch.l1d));
+        if model.warm_caches(prep, n_insts, l1i, l1d).is_ok() {
+            if let Ok(measured) = model.simulate_with(prep, n_insts, l1i, l1d, scratch) {
+                return Ok(measured);
+            }
+        }
         l1i.flush();
         l1d.flush();
         model.simulate_with(prep, n_insts, l1i, l1d, scratch)?; // warm-up
@@ -494,7 +512,7 @@ impl Machine {
     }
 
     /// One-shot convenience: execute `unroll` copies functionally, then
-    /// time them with a warm-up pass, cold caches, and noise applied.
+    /// time them with [`Machine::simulate_double`] and noise applied.
     ///
     /// The measurement framework in `bhive-harness` uses the finer-grained
     /// pieces instead; this entry point powers examples and tests.

@@ -24,6 +24,9 @@
 //!   consumer wake-up lists instead of rescanning producer lists every
 //!   cycle, and stretches of cycles where nothing can happen are skipped
 //!   in one step — all without changing a single observable bit.
+//! * [`TimingModel::warm_caches`] produces the cache state a warm-up
+//!   replay would leave behind without running the cycle loop, together
+//!   with a proven bound on that replay's cycle count.
 //!
 //! [`TimingModel::run_reference`] keeps the original single-pass
 //! implementation; differential tests pin the split path to it bit for
@@ -170,6 +173,24 @@ impl fmt::Display for NonConvergence {
 }
 
 impl std::error::Error for NonConvergence {}
+
+/// Why [`TimingModel::warm_caches`] could not stand in for a simulated
+/// warm-up pass; the caller must run the literal warm-up instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmupFallback {
+    /// Some L1D set would need an eviction, so the warm-up's end state
+    /// would depend on the out-of-order issue order.
+    Eviction,
+    /// The static cycle bound does not show that the cold warm-up
+    /// converges within its cycle budget.
+    Unbounded,
+}
+
+/// The cycle budget of a replay over `uops` uops: a schedule that has
+/// not retired everything after this many cycles is [`NonConvergence`].
+fn cycle_budget(uops: usize) -> u64 {
+    1_000_000 + (uops as u64) * 64
+}
 
 /// Dependency-tracking key (reference path only; the prepared path uses
 /// the flat producer scoreboard below).
@@ -1084,9 +1105,9 @@ impl<'a> TimingModel<'a> {
     /// Runs the first `n_insts` prepared dynamic instructions through the
     /// pipeline with the process-wide SIMD dispatch tier
     /// ([`SimdTier::active`]). `l1i`/`l1d` carry cache state across runs
-    /// (the harness performs a warm-up run first, exactly like the
-    /// paper's double execution); `scratch` is caller-owned so repeated
-    /// runs allocate nothing.
+    /// (the paper's double execution warms them with a first run, which
+    /// [`TimingModel::warm_caches`] can stand in for); `scratch` is
+    /// caller-owned so repeated runs allocate nothing.
     ///
     /// Prefix replay is exact: simulating `n` instructions of a longer
     /// preparation is bit-identical to preparing and simulating the
@@ -1226,7 +1247,7 @@ impl<'a> TimingModel<'a> {
         let mut rs_used = 0u32;
         let mut cycle = 0u64;
         // Safety valve against pathological schedules.
-        let max_cycles = 1_000_000u64 + (uop_limit as u64) * 64;
+        let max_cycles = cycle_budget(uop_limit);
         let issue_quota = self.uarch.issue_width * 2;
 
         while next_retire < total_insts {
@@ -1672,6 +1693,144 @@ impl<'a> TimingModel<'a> {
         Ok(result)
     }
 
+    /// Flushes `l1i`/`l1d` and leaves in them, without running the cycle
+    /// loop, the state a [`TimingModel::simulate_with`] warm-up over the
+    /// first `n_insts` prepared instructions would leave for a following
+    /// replay of the same prefix. On success returns a bound on that
+    /// warm-up's [`TimingResult::cycles`], which is at most its cycle
+    /// budget, so the warm-up would have converged.
+    ///
+    /// * **L1I** is exact: the frontend replay probes the L1I in program
+    ///   order before the cycle loop, whatever the schedule, so replaying
+    ///   the same probes through [`Cache::access`] reproduces every tag,
+    ///   LRU stamp and miss.
+    /// * **L1D** is filled with every line the prefix's memory uops touch
+    ///   (both lines of a split access) through [`Cache::fill_no_evict`].
+    ///   Without evictions, a cold cache ends up holding exactly the
+    ///   touched lines in any access order, and a following replay of
+    ///   the same prefix hits on every access, so LRU stamps and way
+    ///   placement never show.
+    ///
+    /// # The bound
+    ///
+    /// Let `F` be the last fetch cycle (exact, from the L1I replay), `n`
+    /// the instruction count, `W` the sum of every uop's latency and
+    /// port-blocking cycles, `S` the split accesses and `L` the distinct
+    /// lines touched (each misses exactly once in a cold warm-up that
+    /// never evicts). Then the warm-up ends within
+    ///
+    /// `F + 2n + W + S·split + L·miss + interval·L(L−1)/2 + 1` cycles.
+    ///
+    /// Proof sketch, by induction over the retire cycle `R_k` of the
+    /// `k`-th instruction. Once `R_{k−1}` has passed every older
+    /// instruction has retired, so the ROB and RS are empty and
+    /// instruction `k` is first in line to rename: it renames by
+    /// `max(R_{k−1}, fetch_k)` (+1 for the rename/issue order within a
+    /// cycle). Its uops, taken in id order, are each the oldest unissued
+    /// uop in the machine once their predecessors have completed, so
+    /// oldest-first issue delays one only while every candidate port is
+    /// blocked. Those waits never overlap in time along this chain, so
+    /// in total they are at most the sum of all blocking intervals. Each
+    /// uop then completes after its latency, plus the miss and split
+    /// penalties of its accesses, plus its L2-queue delay; the `m`-th
+    /// miss waits at most `(m−1)·interval` behind earlier fills.
+    /// Summing, `R_k ≤ max(R_{k−1}, fetch_k) + 2 + Σ_{u∈k}(…)`, and the
+    /// run ends the cycle after the last retirement.
+    ///
+    /// The induction needs every instruction to be able to rename into an
+    /// empty machine and every uop to name a port. Those premises are
+    /// checked; any failure (a deadlock the replay would only discover by
+    /// exhausting its budget) is [`WarmupFallback::Unbounded`].
+    ///
+    /// # Errors
+    ///
+    /// [`WarmupFallback::Eviction`] if some L1D set would need an
+    /// eviction; [`WarmupFallback::Unbounded`] if the premises fail or the
+    /// bound exceeds the cycle budget. The caches are then in an
+    /// unspecified state: flush them before a literal warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_insts` exceeds the prepared length.
+    pub fn warm_caches(
+        &self,
+        prep: &PreparedTrace,
+        n_insts: usize,
+        l1i: &mut Cache,
+        l1d: &mut Cache,
+    ) -> Result<u64, WarmupFallback> {
+        assert!(
+            n_insts <= prep.len(),
+            "prefix of {n_insts} insts exceeds prepared trace of {}",
+            prep.len()
+        );
+        l1i.flush();
+        l1d.flush();
+        if n_insts == 0 {
+            return Ok(0);
+        }
+        let uarch = self.uarch;
+        let mut l1i_misses = 0u64;
+        for &(_, addr) in prep.probes.iter().take_while(|p| (p.0 as usize) < n_insts) {
+            l1i_misses += u64::from(!l1i.access(addr, addr));
+        }
+
+        if uarch.issue_width == 0 || uarch.retire_width == 0 {
+            return Err(WarmupFallback::Unbounded);
+        }
+        for im in &prep.inst_meta[..n_insts] {
+            let slots = u32::from(im.slots);
+            if slots > uarch.issue_width
+                || slots.max(1) > uarch.rob_size
+                || im.last - im.first > uarch.rs_size
+            {
+                return Err(WarmupFallback::Unbounded);
+            }
+        }
+
+        let uop_limit = prep.inst_last[n_insts - 1] as usize;
+        let line = l1d.line_bytes();
+        let mut work = 0u64;
+        let mut splits = 0u64;
+        let mut lines = 0u64;
+        for (m, &[vaddr, paddr]) in prep.meta[..uop_limit].iter().zip(&prep.mem_addr) {
+            if m.ports == 0 {
+                return Err(WarmupFallback::Unbounded);
+            }
+            work += u64::from(m.latency) + u64::from(m.blocking);
+            if m.mem_width == 0 {
+                continue;
+            }
+            let filled = l1d
+                .fill_no_evict(vaddr, paddr)
+                .ok_or(WarmupFallback::Eviction)?;
+            lines += u64::from(filled);
+            if l1d.splits_line(vaddr, m.mem_width) {
+                splits += 1;
+                let second = (vaddr / line + 1) * line;
+                let filled = l1d
+                    .fill_no_evict(second, paddr + (second - vaddr))
+                    .ok_or(WarmupFallback::Eviction)?;
+                lines += u64::from(filled);
+            }
+        }
+
+        let fetch_end =
+            prep.fetch_base[n_insts - 1] + l1i_misses * u64::from(uarch.l1i_miss_penalty);
+        let miss = u64::from(uarch.l1d_miss_penalty);
+        let bound = fetch_end
+            + 2 * n_insts as u64
+            + work
+            + splits * u64::from(uarch.split_access_penalty)
+            + lines * miss
+            + miss * (lines * lines.saturating_sub(1) / 2)
+            + 1;
+        if bound > cycle_budget(uop_limit) {
+            return Err(WarmupFallback::Unbounded);
+        }
+        Ok(bound)
+    }
+
     /// Runs the trace through the pipeline by preparing and simulating it
     /// in one call. `l1i`/`l1d` carry cache state across runs. Hot paths
     /// should hold a [`PreparedTrace`]/[`SimScratch`] and call the split
@@ -1945,7 +2104,7 @@ impl<'a> TimingModel<'a> {
         let mut rename_cycle = vec![0u64; total_insts];
         let mut cycle = 0u64;
         // Safety valve against pathological schedules.
-        let max_cycles = 1_000_000u64 + (uops.len() as u64) * 64;
+        let max_cycles = cycle_budget(uops.len());
 
         while next_retire < total_insts {
             // Retire (fused-domain bandwidth).

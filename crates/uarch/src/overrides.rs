@@ -122,7 +122,15 @@ impl FittedTables {
         serde_json::to_string_pretty(self).expect("fitted tables serialize")
     }
 
-    /// Parses and validates a fitted-tables document.
+    /// Parses and validates a fitted-tables document. Every entry must
+    /// have a latency of at least one cycle and a non-empty port set
+    /// within the uarch's ports: anything else would give the timing
+    /// model a uop that completes instantly or can never issue.
+    ///
+    /// # Errors
+    ///
+    /// A [`TableLoadError`] for any input that is not such a document;
+    /// never panics, whatever the bytes.
     pub fn from_json(text: &str) -> Result<(UarchKind, TableOverrides), TableLoadError> {
         let doc: FittedTables =
             serde_json::from_str(text).map_err(|e| TableLoadError::Parse(e.to_string()))?;
@@ -130,6 +138,17 @@ impl FittedTables {
             return Err(TableLoadError::Schema(doc.schema));
         }
         let kind = UarchKind::parse(&doc.uarch).ok_or(TableLoadError::UnknownUarch(doc.uarch))?;
+        let port_limit = 1u16 << builtin(kind).num_ports;
+        if let Some((key, entry)) = doc
+            .entries
+            .iter()
+            .find(|(_, e)| e.latency == 0 || e.ports == 0 || u16::from(e.ports) >= port_limit)
+        {
+            return Err(TableLoadError::InvalidEntry(format!(
+                "{key:?}: latency {} on port mask {:#04x}",
+                entry.latency, entry.ports
+            )));
+        }
         Ok((
             kind,
             TableOverrides {
@@ -161,6 +180,9 @@ pub enum TableLoadError {
     Schema(String),
     /// The `uarch` field names no modeled microarchitecture.
     UnknownUarch(String),
+    /// An entry has a zero latency or a port mask that is empty or names
+    /// ports the uarch does not have.
+    InvalidEntry(String),
 }
 
 impl fmt::Display for TableLoadError {
@@ -175,6 +197,7 @@ impl fmt::Display for TableLoadError {
                 )
             }
             TableLoadError::UnknownUarch(u) => write!(f, "unknown uarch {u:?} in tables file"),
+            TableLoadError::InvalidEntry(e) => write!(f, "invalid tables entry {e}"),
         }
     }
 }
@@ -275,6 +298,22 @@ mod tests {
             FittedTables::from_json(wrong_uarch),
             Err(TableLoadError::UnknownUarch(_))
         ));
+        for entry in [
+            r#"{"latency":0,"ports":1}"#,
+            r#"{"latency":1,"ports":0}"#,
+            r#"{"latency":1,"ports":64}"#,
+        ] {
+            let doc = format!(
+                r#"{{"schema":"bhive-tables/v1","uarch":"ivb","entries":{{"alu":{entry}}}}}"#
+            );
+            assert!(
+                matches!(
+                    FittedTables::from_json(&doc),
+                    Err(TableLoadError::InvalidEntry(_))
+                ),
+                "{entry}"
+            );
+        }
     }
 
     #[test]

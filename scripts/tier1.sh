@@ -5,28 +5,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The workspace's `default-members` make this every suite of the root
+# package and of each crate: the sim differential suites, harness chaos
+# and observability, core sharding, serve lifecycle and chaos, learn
+# calibration round trips, and the rest.
 cargo test -q
-# Differential suite, twice: once on the native SIMD dispatch tier and
-# once with the scalar fallback forced, so the kernel the host happens
-# to support never hides a divergence in the portable reference path.
-# (The suite itself additionally pins every *available* tier per case.)
-cargo test -q -p bhive-sim --test differential
+# The simulator's differential suites again with the scalar SIMD
+# fallback forced, so the kernel the host happens to support never
+# hides a divergence in the portable path. (Each suite additionally
+# pins every *available* tier per case.) They cover the split
+# prepare/simulate path against the reference pipeline, the predecoded
+# `ExecOp` executor against the reference interpreter, and the
+# cache-only warm-up of `simulate_double` against the literal pair.
 BHIVE_SIMD=off cargo test -q -p bhive-sim --test differential
-# Executor differential, twice for the same reason: the predecoded
-# `ExecOp` path must be bit-identical to the retained reference
-# interpreter (traces, faults, state, stored memory) on every restart of
-# the fault-service loop, at both harness unroll factors.
-cargo test -q -p bhive-sim --test exec_differential
 BHIVE_SIMD=off cargo test -q -p bhive-sim --test exec_differential
-# Chaos suite: injected panics, forced transients, cache-write errors,
-# and breaker trips must all stay contained. Includes the noisy-corpus
-# smoke (retries on, recovery rate > 10% of transiently failed blocks).
-cargo test -q -p bhive-harness --test chaos
-# Observability suite: the deterministic trace section and run report
-# must be byte-identical across thread counts, observation must never
-# perturb a measurement, and the metrics algebra must merge cleanly.
-cargo test -q -p bhive-harness --test obs_determinism
-cargo test -q -p bhive-harness --test obs_properties
+BHIVE_SIMD=off cargo test -q -p bhive-sim --test warmup_differential
 cargo build --examples
 cargo bench --no-run
 # Bench smoke: the machine-readable perf probe must run end to end (the
@@ -74,7 +67,7 @@ grep -q 'bhive-run-report/v1' "$trace_dir/run_report.json"
 # Sharded smoke: a 2-worker sharded run — with one shard worker
 # kill -9'd mid-flight first — resumes and emits a CSV byte-identical
 # to a plain serial run. (The thorough 4-way version is
-# crates/core/tests/sharded.rs, which `cargo test` above already ran.)
+# crates/core/tests/sharded.rs, part of the `cargo test -q` run above.)
 bhive=target/release/bhive
 "$bhive" measure --scale 25 --seed 7 --threads 2 --no-cache \
     >"$shard_dir/serial.csv" 2>/dev/null
@@ -115,10 +108,9 @@ wait "$serve_pid"
 test ! -e "$serve_dir/bhive.sock" # drain unlinks the socket
 # Calibration smoke: a quick calibrate against the shipped Ivy Bridge
 # tables must measure every probe, report zero drift (--diff exits 0),
-# and write the versioned report. The round-trip recovery suite
-# (synthetic tables recovered from measurements alone) is pinned here
-# explicitly on top of the workspace `cargo test` above.
-cargo test -q -p bhive-learn --test calibrate_roundtrip
+# and write the versioned report. (The round-trip recovery suite,
+# synthetic tables recovered from measurements alone, is
+# crates/learn/tests/calibrate_roundtrip.rs in the `cargo test -q` run.)
 calib_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$shard_dir" "$serve_dir" "$calib_dir"' EXIT
 "$bhive" calibrate --uarch ivb --quick --no-cache \
@@ -129,4 +121,6 @@ if command -v rustfmt >/dev/null 2>&1; then
 else
     echo "warning: rustfmt not installed; skipping format check" >&2
 fi
+# Lint gate: every target of every workspace crate, warnings as errors.
+cargo clippy --workspace --all-targets -- -D warnings
 echo "tier-1 gate: OK"
