@@ -13,8 +13,7 @@
 //!   measured on a worker) and N warm hits (the same blocks again,
 //!   answered from the warm store), profiles the same blocks directly
 //!   for a batch-throughput baseline, and emits one JSON object
-//!   (`bhive-bench-pr8/v1`) to stdout. `scripts/bench.sh` wraps this
-//!   into `BENCH_PR8.json`.
+//!   (`bhive-bench-pr8/v1`) to stdout.
 
 use bhive_serve::{BindAddr, Client, ServeConfig, Server};
 use std::time::Instant;

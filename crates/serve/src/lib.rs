@@ -73,5 +73,6 @@ pub use protocol::{
     rejected_response, BlockSource, HealthCounters, PredictRequest, Request, SCHEMA,
 };
 pub use server::{
-    is_protocol_line, BindAddr, Client, Conn, ServeConfig, ServeSummary, Server, ServerHandle,
+    is_protocol_line, BindAddr, Client, Conn, LineEvent, LineReader, ServeConfig, ServeSummary,
+    Server, ServerHandle, MAX_LINE_BYTES,
 };

@@ -674,37 +674,67 @@ fn run_job(shared: &Shared, job: Job) {
 // Connection handling
 // ---------------------------------------------------------------------
 
-enum LineEvent {
+/// The most bytes one protocol line may take, newline included: the
+/// reader's buffer never grows past it. Far above any corpus block's
+/// `att` or `hex` request, which stays under a few KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How one [`LineReader::next`] call ended.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LineEvent {
+    /// A complete line, newline stripped, invalid UTF-8 replaced.
     Line(String),
+    /// [`MAX_LINE_BYTES`] arrived without a newline; the partial line
+    /// was discarded.
+    TooLong,
+    /// EOF between lines.
     CleanEof,
+    /// EOF with a partial line buffered: a mid-request disconnect.
     DroppedMidLine,
+    /// A read timeout between lines: an idle keep-alive.
     Idle,
+    /// A read timeout with a partial line buffered: a slow-loris stall.
     Stalled,
+    /// Any other read error.
     Error,
 }
 
-struct LineReader {
+/// Splits a byte stream into protocol lines with bounded buffering.
+#[derive(Debug, Default)]
+pub struct LineReader {
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already known to hold no newline, so each
+    /// byte is scanned once however long the line.
+    scanned: usize,
 }
 
 impl LineReader {
-    fn new() -> LineReader {
-        LineReader { buf: Vec::new() }
+    /// An empty reader.
+    pub fn new() -> LineReader {
+        LineReader::default()
     }
 
-    /// Reads up to the next newline, classifying how the read ended:
-    /// EOF with a *partial* line buffered is a mid-request disconnect,
-    /// and a read timeout with a partial line buffered is a slow-loris
-    /// stall — both distinct from a clean EOF or an idle keep-alive.
-    fn next(&mut self, conn: &mut Conn) -> LineEvent {
+    /// Reads up to the next newline and classifies how the read ended
+    /// (see [`LineEvent`]).
+    pub fn next<R: Read>(&mut self, conn: &mut R) -> LineEvent {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop();
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + pos;
+                let line = String::from_utf8_lossy(&self.buf[..end]).into_owned();
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                return LineEvent::Line(line);
+            }
+            self.scanned = self.buf.len();
+            let room = MAX_LINE_BYTES - self.buf.len();
+            if room == 0 {
+                self.buf.clear();
+                self.scanned = 0;
+                return LineEvent::TooLong;
             }
             let mut chunk = [0u8; 4096];
-            match conn.read(&mut chunk) {
+            let want = room.min(chunk.len());
+            match conn.read(&mut chunk[..want]) {
                 Ok(0) => {
                     return if self.buf.is_empty() {
                         LineEvent::CleanEof
@@ -746,6 +776,20 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: usize) {
                     shared.trace(TraceEvent::ServeConnDropped { conn: ordinal });
                     return;
                 }
+            }
+            LineEvent::TooLong => {
+                // The rest of the line is still in flight and cannot be
+                // resynchronized with: answer, then close.
+                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                shared.metric("serve.malformed", 1);
+                let mut response = protocol::error_response(
+                    None,
+                    RequestFailure::Malformed.category(),
+                    "request line too long",
+                );
+                response.push('\n');
+                let _ = conn.write_all(response.as_bytes());
+                return;
             }
             LineEvent::CleanEof => return,
             LineEvent::DroppedMidLine => {
@@ -1070,6 +1114,12 @@ impl Client {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "server closed the connection before responding",
+                    ));
+                }
+                LineEvent::TooLong => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "response line too long",
                     ));
                 }
                 LineEvent::Error => {

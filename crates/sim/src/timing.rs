@@ -18,19 +18,19 @@
 //!   `ports`/`latency`/`dep_*` columns instead of chasing struct fields.
 //! * [`TimingModel::simulate_with`] replays a prepared trace (or any
 //!   prefix of it) against concrete cache state, which is the only input
-//!   that differs between warm-up and measured runs. Readiness testing is
-//!   batched through the runtime-dispatched SIMD kernels of
-//!   [`crate::simd`] (AVX2 / SSE4.1 / scalar), dependency resolution uses
-//!   consumer wake-up lists instead of rescanning producer lists every
-//!   cycle, and stretches of cycles where nothing can happen are skipped
-//!   in one step — all without changing a single observable bit.
+//!   that differs between warm-up and measured runs. Wake-ups mature
+//!   through a pending calendar drained by one branchless compaction
+//!   loop, dependency resolution uses consumer wake-up lists instead of
+//!   rescanning producer lists every cycle, and stretches of cycles where
+//!   nothing can happen are skipped in one step — all without changing a
+//!   single observable bit.
 //! * [`TimingModel::warm_caches`] produces the cache state a warm-up
 //!   replay would leave behind without running the cycle loop, together
 //!   with a proven bound on that replay's cycle count.
 //!
 //! [`TimingModel::run_reference`] keeps the original single-pass
 //! implementation; differential tests pin the split path to it bit for
-//! bit at every SIMD dispatch tier.
+//! bit.
 //!
 //! Both paths share one safety valve: a schedule that fails to retire
 //! everything within the cycle budget returns [`NonConvergence`] instead
@@ -39,7 +39,6 @@
 
 use crate::cache::Cache;
 use crate::exec::InstEffects;
-use crate::simd::{self, SimdTier, READY_NEVER};
 use crate::state::CpuState;
 use bhive_asm::{AsmError, Gpr, Inst};
 use bhive_uarch::{decompose_cached, macro_fuses, Recipe, Uarch, UarchKind, Uop, UopKind, VarLat};
@@ -376,9 +375,6 @@ pub struct PreparedTrace {
     /// scheduler's issue block reads one 20-byte record instead of
     /// gathering from eight parallel columns.
     meta: Vec<UopMeta>,
-    /// Initial `ready_at` value: 0 for dependency-free uops,
-    /// [`READY_NEVER`] otherwise (consumed by the reference pipeline).
-    ready_init: Vec<u64>,
     /// Bit per uop id: set iff the uop has no producers, i.e. its
     /// operands are ready from cycle 0. Copied wholesale into the
     /// scheduler's ready set at simulation start.
@@ -463,11 +459,8 @@ pub struct SimScratch {
     ready_bits: Vec<u64>,
     /// Pending wake-up calendar: `(cycle << PEND_SHIFT) | uop_id` keys
     /// for uops whose operands resolve at a known future cycle. Drained
-    /// into `ready_bits` once that cycle arrives; the drain compare is
-    /// the SIMD readiness kernel's job when the calendar is deep enough.
+    /// into `ready_bits` by [`drain_pending`] once that cycle arrives.
     pend: Vec<u64>,
-    /// Kernel output scratch for batched drains.
-    drain_bits: Vec<u64>,
 }
 
 /// Bit position splitting a pending-calendar key into `(cycle, uop id)`:
@@ -478,6 +471,54 @@ pub struct SimScratch {
 /// cycle values are bounded by the convergence budget, far below the
 /// remaining 40 bits.
 const PEND_SHIFT: u32 = 24;
+
+/// Matures every pending-calendar key below `thresh` into `ready_bits`
+/// and compacts the rest of `pend` in place, order kept. Returns the
+/// minimum kept key, `u64::MAX` when none is left.
+///
+/// Branchless: a matured key sets its ready bit (an `|= 0` no-op
+/// otherwise) and is dropped by not advancing the write cursor.
+///
+/// # Panics
+///
+/// Panics if a key's uop id lies past `ready_bits`.
+#[inline]
+fn drain_pending(pend: &mut Vec<u64>, ready_bits: &mut [u64], thresh: u64) -> u64 {
+    let mut min = u64::MAX;
+    let mut kept = 0usize;
+    for i in 0..pend.len() {
+        let key = pend[i];
+        let matured = key < thresh;
+        let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
+        ready_bits[uid >> 6] |= u64::from(matured) << (uid & 63);
+        pend[kept] = key;
+        min = min.min(if matured { u64::MAX } else { key });
+        kept += usize::from(!matured);
+    }
+    pend.truncate(kept);
+    min
+}
+
+/// The earliest value in `completion` strictly after `cycle` under a
+/// *signed* compare, or `u64::MAX` when there is none. Entries of
+/// `u64::MAX` (signed −1: uop not issued) and entries `<= cycle`
+/// (already complete) are both ignored, which is exactly the set of
+/// in-flight completion events the idle skip needs. Real cycles are
+/// bounded far below `i64::MAX` by the convergence budget, so signed
+/// order equals the intended order.
+#[inline]
+fn min_future(completion: &[u64], cycle: u64) -> u64 {
+    let c = cycle as i64;
+    let min = completion
+        .iter()
+        .map(|&v| if v as i64 > c { v as i64 } else { i64::MAX })
+        .fold(i64::MAX, i64::min);
+    if min == i64::MAX {
+        u64::MAX
+    } else {
+        min as u64
+    }
+}
 
 /// Wake-up countdown for one uop: the consumer side of the scoreboard.
 #[derive(Debug, Clone, Copy, Default)]
@@ -779,7 +820,6 @@ impl<'a> TimingModel<'a> {
             dep_len,
             mem_addr,
             meta,
-            ready_init,
             ready0_mask,
             wake0,
             inst_state0,
@@ -806,7 +846,6 @@ impl<'a> TimingModel<'a> {
         dep_len.clear();
         mem_addr.clear();
         meta.clear();
-        ready_init.clear();
         ready0_mask.clear();
         wake0.clear();
         inst_state0.clear();
@@ -976,7 +1015,6 @@ impl<'a> TimingModel<'a> {
                     is_store: u8::from(uop.kind == UopKind::StoreData),
                     _pad: 0,
                 });
-                ready_init.push(if kept == 0 { 0 } else { READY_NEVER });
                 match uop.kind {
                     UopKind::Load => load_uop = id,
                     UopKind::Compute => last_compute = id,
@@ -1103,8 +1141,7 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Runs the first `n_insts` prepared dynamic instructions through the
-    /// pipeline with the process-wide SIMD dispatch tier
-    /// ([`SimdTier::active`]). `l1i`/`l1d` carry cache state across runs
+    /// pipeline. `l1i`/`l1d` carry cache state across runs
     /// (the paper's double execution warms them with a first run, which
     /// [`TimingModel::warm_caches`] can stand in for); `scratch` is
     /// caller-owned so repeated runs allocate nothing.
@@ -1129,31 +1166,6 @@ impl<'a> TimingModel<'a> {
         l1d: &mut Cache,
         scratch: &mut SimScratch,
     ) -> Result<TimingResult, NonConvergence> {
-        self.simulate_with_tier(prep, n_insts, l1i, l1d, scratch, SimdTier::active())
-    }
-
-    /// [`TimingModel::simulate_with`] pinned to an explicit SIMD dispatch
-    /// tier. Every tier is bit-identical; this entry point exists so the
-    /// differential suite can verify that claim on whatever tiers the
-    /// host supports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonConvergence`] if the schedule exhausts its cycle
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_insts` exceeds the prepared length.
-    pub fn simulate_with_tier(
-        &self,
-        prep: &PreparedTrace,
-        n_insts: usize,
-        l1i: &mut Cache,
-        l1d: &mut Cache,
-        scratch: &mut SimScratch,
-        tier: SimdTier,
-    ) -> Result<TimingResult, NonConvergence> {
         assert!(
             n_insts <= prep.len(),
             "prefix of {n_insts} insts exceeds prepared trace of {}",
@@ -1172,7 +1184,6 @@ impl<'a> TimingModel<'a> {
             inst_state,
             ready_bits,
             pend,
-            drain_bits,
         } = scratch;
         // Hoisted column views: one slice bound per array instead of a
         // Vec deref on every random access in the cycle loop.
@@ -1281,51 +1292,9 @@ impl<'a> TimingModel<'a> {
             // at `c` completes no earlier than `c + 1`), so a drain can
             // only happen on a later cycle than the insert, and `<=` here
             // agrees bit for bit with the per-scan compare it replaces.
-            // The SIMD readiness kernel tests the whole calendar at once
-            // when it is deep enough to amortize the dispatch.
             let pend_thresh = (cycle + 1) << PEND_SHIFT;
             if min_pend < pend_thresh {
-                min_pend = u64::MAX;
-                let n = pend.len();
-                let mut kept = 0usize;
-                if n >= simd::READY_BATCH_MIN {
-                    drain_bits.clear();
-                    drain_bits.resize(n.div_ceil(64), 0);
-                    simd::ready_mask(tier, pend, pend_thresh - 1, drain_bits);
-                    // SAFETY: `kept <= i < n = pend.len()`; uids were
-                    // masked to PEND_SHIFT bits at insert and are
-                    // `< uop_limit`, and `ready_bits` spans every
-                    // prepared uop id.
-                    for i in 0..n {
-                        let key = unsafe { *pend.get_unchecked(i) };
-                        let matured = drain_bits[i >> 6] >> (i & 63) & 1 != 0;
-                        let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
-                        unsafe {
-                            *ready_bits.get_unchecked_mut(uid >> 6) |=
-                                u64::from(matured) << (uid & 63);
-                            *pend.get_unchecked_mut(kept) = key;
-                        }
-                        min_pend = min_pend.min(if matured { u64::MAX } else { key });
-                        kept += usize::from(!matured);
-                    }
-                } else {
-                    // Branchless compact: matured keys set their ready
-                    // bit (an `|= 0` no-op otherwise) and are dropped by
-                    // not advancing the write cursor. SAFETY: as above.
-                    for i in 0..n {
-                        let key = unsafe { *pend.get_unchecked(i) };
-                        let matured = key < pend_thresh;
-                        let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
-                        unsafe {
-                            *ready_bits.get_unchecked_mut(uid >> 6) |=
-                                u64::from(matured) << (uid & 63);
-                            *pend.get_unchecked_mut(kept) = key;
-                        }
-                        min_pend = min_pend.min(if matured { u64::MAX } else { key });
-                        kept += usize::from(!matured);
-                    }
-                }
-                pend.truncate(kept);
+                min_pend = drain_pending(pend, ready_bits, pend_thresh);
             }
 
             // Issue from the ready set: oldest first (lowest uop id —
@@ -1664,7 +1633,7 @@ impl<'a> TimingModel<'a> {
                 } else {
                     uop_limit
                 };
-                let mut next_event = simd::min_future(tier, &completion[lo..hi], prev);
+                let mut next_event = min_future(&completion[lo..hi], prev);
                 for &free in port_free.iter() {
                     if free > prev {
                         next_event = next_event.min(free);
@@ -1854,8 +1823,8 @@ impl<'a> TimingModel<'a> {
 
     /// The original single-pass implementation, kept verbatim as the
     /// straight-line reference: differential tests pin
-    /// `prepare` + `simulate` (including prefix replay and every SIMD
-    /// dispatch tier) to this path bit for bit. Not used on hot paths.
+    /// `prepare` + `simulate` (including prefix replay) to this path bit
+    /// for bit. Not used on hot paths.
     ///
     /// # Errors
     ///
@@ -2587,23 +2556,9 @@ mod tests {
             let prep = model.prepare(&trace, &layout);
             let mut scratch = SimScratch::default();
             // Cold then warm: cache state carried identically on both
-            // sides, at every SIMD dispatch tier.
+            // sides.
             for _ in 0..2 {
                 let reference = model.run_reference(&trace, &layout, &mut l1i_b, &mut l1d_b);
-                for &tier in SimdTier::available() {
-                    let mut l1i = l1i_a.clone();
-                    let mut l1d = l1d_a.clone();
-                    let split = model.simulate_with_tier(
-                        &prep,
-                        trace.len(),
-                        &mut l1i,
-                        &mut l1d,
-                        &mut scratch,
-                        tier,
-                    );
-                    assert_eq!(split, reference, "tier {tier:?}");
-                }
-                // Advance the carried state once for the warm pass.
                 let split =
                     model.simulate_with(&prep, trace.len(), &mut l1i_a, &mut l1d_a, &mut scratch);
                 assert_eq!(split, reference);
@@ -2658,18 +2613,98 @@ mod tests {
 
         let prep = model.prepare(&trace, &layout);
         let mut scratch = SimScratch::default();
-        for &tier in SimdTier::available() {
-            let mut l1i = Cache::new(starved.l1i);
-            let mut l1d = Cache::new(starved.l1d);
-            let split = model.simulate_with_tier(
-                &prep,
-                trace.len(),
-                &mut l1i,
-                &mut l1d,
-                &mut scratch,
-                tier,
-            );
-            assert_eq!(split, reference, "tier {tier:?} error parity");
+        let mut l1i = Cache::new(starved.l1i);
+        let mut l1d = Cache::new(starved.l1d);
+        let split = model.simulate_with(&prep, trace.len(), &mut l1i, &mut l1d, &mut scratch);
+        assert_eq!(split, reference, "error parity");
+    }
+
+    /// Pins the calendar drain and the idle-skip fold to naive filter and
+    /// min definitions: both sentinels (a never-maturing key, an unissued
+    /// `u64::MAX` completion), lengths across the 64-bit word boundaries,
+    /// and cycles from 0 to 1,000,000.
+    #[test]
+    fn drain_and_min_fold_match_naive_definitions() {
+        // Deterministic pseudo-random ready cycles straddling the probe
+        // cycles, with `i64::MAX` standing for "dependencies unresolved".
+        let mut state = 0x9E37_79B9u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        let never = i64::MAX as u64;
+        let ready_at: Vec<u64> = (0..257)
+            .map(|_| match next() % 4 {
+                0 => never,
+                1 => next() % 50,
+                2 => 100 + next() % 50,
+                _ => 75,
+            })
+            .collect();
+        let cycles = [0u64, 4, 11, 12, 13, 42, 75, 149, 10_000, 1_000_000];
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 130, 257] {
+            // Calendar keys for uop ids `0..len`; an unresolved uop gets
+            // the largest cycle a key can carry.
+            let keys: Vec<u64> = ready_at[..len]
+                .iter()
+                .enumerate()
+                .map(|(uid, &r)| (r.min(never >> PEND_SHIFT) << PEND_SHIFT) | uid as u64)
+                .collect();
+            for &cycle in &cycles {
+                let thresh = (cycle + 1) << PEND_SHIFT;
+                let mut pend = keys.clone();
+                let mut ready_bits = vec![0u64; len.div_ceil(64)];
+                let min = drain_pending(&mut pend, &mut ready_bits, thresh);
+                let kept: Vec<u64> = keys.iter().copied().filter(|&k| k >= thresh).collect();
+                let mut want_bits = vec![0u64; len.div_ceil(64)];
+                for (uid, &r) in ready_at[..len].iter().enumerate() {
+                    if r <= cycle {
+                        want_bits[uid >> 6] |= 1 << (uid & 63);
+                    }
+                }
+                assert_eq!(pend, kept, "len {len} cycle {cycle}");
+                assert_eq!(ready_bits, want_bits, "len {len} cycle {cycle}");
+                assert_eq!(min, kept.iter().copied().min().unwrap_or(u64::MAX));
+            }
+        }
+        // A key exactly at the threshold (uop 0, ready next cycle) stays.
+        let at = 1 << PEND_SHIFT;
+        let mut pend = vec![at];
+        assert_eq!(drain_pending(&mut pend, &mut [0], at), at);
+        assert_eq!(pend, [at]);
+
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![u64::MAX],
+            vec![5],
+            vec![5, 6, 7, 8, 9],
+            vec![u64::MAX, 3, u64::MAX, 900, 12, 13, 14],
+            (0..133)
+                .map(|i| if i % 5 == 0 { u64::MAX } else { i * 7 })
+                .collect(),
+        ];
+        cases.extend([64, 257].map(|len| {
+            ready_at[..len]
+                .iter()
+                .map(|&r| if r == never { u64::MAX } else { r })
+                .collect()
+        }));
+        for values in &cases {
+            for &cycle in &cycles {
+                let naive = values
+                    .iter()
+                    .copied()
+                    .filter(|&v| v != u64::MAX && v > cycle)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                assert_eq!(
+                    min_future(values, cycle),
+                    naive,
+                    "cycle {cycle} values {values:?}"
+                );
+            }
         }
     }
 }

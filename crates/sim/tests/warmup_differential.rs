@@ -2,9 +2,7 @@
 //! must return exactly what the paper's literal double execution returns —
 //! flush both caches, simulate the prefix once and discard the result,
 //! simulate it again — on random corpus blocks, every shipped uarch, both
-//! harness unroll prefixes of one preparation, and every SIMD dispatch
-//! tier the host supports (run with `BHIVE_SIMD=off` to force the scalar
-//! kernels through `simulate_double` too). Every case also pins the
+//! harness unroll prefixes of one preparation. Every case also pins the
 //! static bound that fallback (c) relies on against the literal warm-up's
 //! cycle count, and each fallback gets a constructed case.
 
@@ -12,7 +10,7 @@ use bhive_asm::{fnv1a_64, parse_block, BasicBlock};
 use bhive_corpus::{generate_block, Application};
 use bhive_sim::{
     Cache, CodeLayout, DynInst, ExecFault, Machine, NoiseConfig, NonConvergence, PhysPage,
-    PreparedTrace, SimScratch, SimdTier, TimingModel, TimingResult, WarmupFallback, CODE_BASE,
+    PreparedTrace, SimScratch, TimingModel, TimingResult, WarmupFallback, CODE_BASE,
 };
 use bhive_uarch::{CacheParams, Uarch};
 use proptest::prelude::*;
@@ -32,14 +30,13 @@ fn literal_pair(
     model: &TimingModel<'_>,
     prep: &PreparedTrace,
     n_insts: usize,
-    tier: SimdTier,
 ) -> Result<TimingResult, NonConvergence> {
     let uarch = model.uarch();
     let mut l1i = Cache::new(uarch.l1i);
     let mut l1d = Cache::new(uarch.l1d);
     let mut scratch = SimScratch::default();
-    model.simulate_with_tier(prep, n_insts, &mut l1i, &mut l1d, &mut scratch, tier)?;
-    model.simulate_with_tier(prep, n_insts, &mut l1i, &mut l1d, &mut scratch, tier)
+    model.simulate_with(prep, n_insts, &mut l1i, &mut l1d, &mut scratch)?;
+    model.simulate_with(prep, n_insts, &mut l1i, &mut l1d, &mut scratch)
 }
 
 /// The literal warm-up pass alone, from cold caches.
@@ -104,10 +101,10 @@ fn factors(block_bytes: u32) -> (u32, u32) {
     (lo, hi)
 }
 
-/// Checks `simulate_double` against the literal pair, at every available
-/// tier, on the `n_insts` prefix of `trace`, and fallback (c)'s bound
-/// against the literal warm-up whenever `warm_caches` claims one. Returns
-/// the warm-up decision so callers can tell the replay from a fallback.
+/// Checks `simulate_double` against the literal pair on the `n_insts`
+/// prefix of `trace`, and fallback (c)'s bound against the literal
+/// warm-up whenever `warm_caches` claims one. Returns the warm-up
+/// decision so callers can tell the replay from a fallback.
 fn check_prefix(
     machine: &mut Machine,
     model: &TimingModel<'_>,
@@ -118,14 +115,12 @@ fn check_prefix(
     let prep = model.prepare(trace, layout);
     machine.prepare_timing(model, trace, layout);
     let double = machine.simulate_double(model, n_insts);
-    for &tier in SimdTier::available() {
-        assert_eq!(
-            double,
-            literal_pair(model, &prep, n_insts, tier),
-            "{:?}, {n_insts} insts, tier {tier:?}",
-            model.uarch().kind
-        );
-    }
+    assert_eq!(
+        double,
+        literal_pair(model, &prep, n_insts),
+        "{:?}, {n_insts} insts",
+        model.uarch().kind
+    );
     let outcome = warm_outcome(model, &prep, n_insts);
     if let Ok(bound) = outcome {
         let cycles = literal_warmup(model, &prep, n_insts).map(|r| r.cycles);
@@ -253,7 +248,7 @@ fn l1i_overflow_is_replayed_exactly() {
         assert!(outcome.is_ok(), "{n} insts: {outcome:?}");
     }
     let prep = model.prepare(&trace, &layout);
-    let measured = literal_pair(&model, &prep, trace.len(), SimdTier::active()).unwrap();
+    let measured = literal_pair(&model, &prep, trace.len()).unwrap();
     assert!(measured.l1i_misses > 0, "100 copies must miss in the L1I");
 }
 
@@ -283,7 +278,7 @@ fn l1d_conflict_falls_back_to_the_literal_pair() {
         assert_eq!(outcome, Err(WarmupFallback::Eviction), "{n} insts");
     }
     let prep = model.prepare(&trace, &layout);
-    let measured = literal_pair(&model, &prep, trace.len(), SimdTier::active()).unwrap();
+    let measured = literal_pair(&model, &prep, trace.len()).unwrap();
     assert!(measured.l1d_read_misses > 0, "the conflict must miss");
 }
 

@@ -6,49 +6,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 # The workspace's `default-members` make this every suite of the root
-# package and of each crate: the sim differential suites, harness chaos
-# and observability, core sharding, serve lifecycle and chaos, learn
-# calibration round trips, and the rest.
-cargo test -q
-# The simulator's differential suites again with the scalar SIMD
-# fallback forced, so the kernel the host happens to support never
-# hides a divergence in the portable path. (Each suite additionally
-# pins every *available* tier per case.) They cover the split
+# package and of each crate: the sim differential suites (the split
 # prepare/simulate path against the reference pipeline, the predecoded
-# `ExecOp` executor against the reference interpreter, and the
-# cache-only warm-up of `simulate_double` against the literal pair.
-BHIVE_SIMD=off cargo test -q -p bhive-sim --test differential
-BHIVE_SIMD=off cargo test -q -p bhive-sim --test exec_differential
-BHIVE_SIMD=off cargo test -q -p bhive-sim --test warmup_differential
+# `ExecOp` executor against the reference interpreter, and the cache-only
+# warm-up of `simulate_double` against the literal pair), harness chaos
+# and observability, core sharding, serve lifecycle, chaos and
+# untrusted-input fuzzing, learn calibration round trips, and the rest.
+cargo test -q
 cargo build --examples
 cargo bench --no-run
-# Bench smoke: the machine-readable perf probe must run end to end (the
-# full run is scripts/bench.sh, which emits BENCH_PR9.json) and report
-# every stage of the split execute measurement: the monitor fault-service
-# loop, the lowered-vs-reference executor pair, and the lowering-cache
-# counters (hits prove re-executions actually reuse one lowering).
-smoke_json="$(mktemp)"
-cargo run -q --release -p bhive-bench --example bench_json -- --smoke >"$smoke_json"
-for field in monitor_ns_per_block faults_per_block execute_ns_per_block \
-    execute_ref_ns_per_block execute_speedup prepare_static_ns_per_block \
-    lower_hits lower_misses; do
-    grep -q "\"$field\"" "$smoke_json" || {
-        echo "bench smoke: missing field $field" >&2
-        exit 1
-    }
-done
-python3 - "$smoke_json" <<'PY'
-import json, sys
-probe = json.load(open(sys.argv[1]))
-assert probe["execute_ns_per_block"] > 0, "execute stage never ran"
-assert probe["execute_ref_ns_per_block"] > 0, "reference stage never ran"
-assert probe["lower_misses"] > 0, "lowering cache never filled"
-assert probe["lower_hits"] > probe["lower_misses"], (
-    "re-executions are not reusing the lowering cache: "
-    f"{probe['lower_hits']} hits vs {probe['lower_misses']} misses"
-)
-PY
-rm -f "$smoke_json"
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'
 add rax, 1
