@@ -75,7 +75,7 @@ fn ithemal_training(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(IthemalModel::train(
                 &data,
-                UarchKind::Haswell,
+                UarchKind::Haswell.desc(),
                 IthemalConfig::default(),
             ))
         });

@@ -11,10 +11,10 @@ use std::time::Duration;
 
 fn model_inference(c: &mut Criterion) {
     let models: Vec<Box<dyn ThroughputModel>> = vec![
-        Box::new(IacaModel::new(UarchKind::Haswell)),
-        Box::new(McaModel::new(UarchKind::Haswell)),
-        Box::new(OsacaModel::new(UarchKind::Haswell)),
-        Box::new(BaselineTableModel::new(UarchKind::Haswell)),
+        Box::new(IacaModel::new(UarchKind::Haswell.desc())),
+        Box::new(McaModel::new(UarchKind::Haswell.desc())),
+        Box::new(OsacaModel::new(UarchKind::Haswell.desc())),
+        Box::new(BaselineTableModel::new(UarchKind::Haswell.desc())),
     ];
     let mut group = c.benchmark_group("model-predict");
     group
@@ -42,11 +42,11 @@ fn profiler_vs_iaca(c: &mut Criterion) {
     group.bench_function("profiler", |b| {
         b.iter(|| std::hint::black_box(profiler.profile(&block)));
     });
-    let iaca = IacaModel::new(UarchKind::Haswell);
+    let iaca = IacaModel::new(UarchKind::Haswell.desc());
     group.bench_function("iaca", |b| {
         b.iter(|| std::hint::black_box(iaca.predict(&block)));
     });
-    let mca = McaModel::new(UarchKind::Haswell);
+    let mca = McaModel::new(UarchKind::Haswell.desc());
     group.bench_function("llvm-mca", |b| {
         b.iter(|| std::hint::black_box(mca.predict(&block)));
     });
@@ -57,7 +57,7 @@ fn schedules(c: &mut Criterion) {
     let block = bhive_corpus::special::updcrc();
     let mut group = c.benchmark_group("model-schedule");
     group.sample_size(20);
-    let iaca = IacaModel::new(UarchKind::Haswell);
+    let iaca = IacaModel::new(UarchKind::Haswell.desc());
     group.bench_function("iaca-schedule", |b| {
         b.iter(|| std::hint::black_box(iaca.schedule(&block)));
     });

@@ -8,10 +8,10 @@ use bhive::harness::shard::{
     SHARD_REPORT_SCHEMA,
 };
 use bhive::harness::{
-    corpus_fingerprint, corpus_keys, merge_shard_caches, ObsConfig, ProfileConfig, ProfileStats,
-    Profiler, TraceLog,
+    binding_fingerprint, corpus_fingerprint, corpus_keys, merge_shard_caches, ObsConfig,
+    ProfileConfig, ProfileStats, Profiler, TraceLog,
 };
-use bhive::uarch::UarchKind;
+use bhive::uarch::{FittedTables, TableOverrides, UarchKind};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -86,9 +86,8 @@ OPTIONS:
     --tables FILE     measure/serve/profile/predict: load fitted tables
                       (bhive-tables/v1 JSON from `calibrate --out`) and
                       run with them instead of the shipped tables; the
-                      file's uarch must match --uarch. Incompatible
-                      with --workers/--shard (worker processes would
-                      not inherit the loaded tables)
+                      file's uarch must match --uarch. --workers passes
+                      the file on to every shard worker
     --json            Emit reports as JSON
     --cache DIR       Persist measurements under DIR and resume from them
                       (also via the BHIVE_CACHE environment variable)
@@ -412,13 +411,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if opts.workers.is_some() && opts.shard.is_some() {
         return Err("--workers (supervisor) and --shard (worker) are mutually exclusive".into());
     }
-    if opts.tables.is_some() && (opts.workers.is_some() || opts.shard.is_some()) {
-        return Err(
-            "--tables is incompatible with --workers/--shard: worker processes \
-             would run on the shipped tables, not the loaded ones"
-                .into(),
-        );
-    }
     Ok(opts)
 }
 
@@ -486,25 +478,27 @@ fn run() -> Result<ExitCode, CliError> {
             )));
         }
     }
-    if let Some(path) = &opts.tables {
-        if !matches!(
+    if opts.tables.is_some()
+        && !matches!(
             command.as_str(),
             "measure" | "serve" | "profile" | "predict"
-        ) {
-            return Err(CliError::Usage(
-                "--tables applies to the measure/serve/profile/predict commands only".into(),
-            ));
-        }
-        install_fitted_tables(path, opts.uarch)?;
+        )
+    {
+        return Err(CliError::Usage(
+            "--tables applies to the measure/serve/profile/predict commands only".into(),
+        ));
     }
+    let tables = load_tables(&opts)?;
     if command == "serve" {
-        return run_serve(&opts).map_err(CliError::Runtime);
+        return run_serve(&opts, tables).map_err(CliError::Runtime);
     }
     if command == "calibrate" {
         return run_calibrate(&opts);
     }
-    let mut pipeline =
-        Pipeline::new(opts.scale, opts.seed, opts.threads).with_retries(opts.retries);
+    let uarch = bhive::uarch::fitted_uarch(opts.uarch, tables);
+    let mut pipeline = Pipeline::new(opts.scale, opts.seed, opts.threads)
+        .with_retries(opts.retries)
+        .with_tables(uarch);
     if let Some(dir) = opts.cache_dir() {
         pipeline = pipeline.with_cache_dir(dir);
     }
@@ -589,7 +583,7 @@ fn run() -> Result<ExitCode, CliError> {
         "profile" => {
             let block = read_stdin_block()?;
             let config = ProfileConfig::bhive().with_retries(opts.retries);
-            let profiler = Profiler::new(opts.uarch.desc(), config);
+            let profiler = Profiler::new(uarch, config);
             match profiler.profile(&block) {
                 Ok(m) => {
                     println!(
@@ -689,7 +683,7 @@ fn run() -> Result<ExitCode, CliError> {
 /// from the flags, bind, and run until SIGINT/SIGTERM, then drain.
 /// Exits 0 on a clean drain; a run that ended degraded (breaker tripped
 /// or cache write-off) exits 2 like an unhealthy batch run.
-fn run_serve(opts: &Options) -> Result<ExitCode, String> {
+fn run_serve(opts: &Options, tables: TableOverrides) -> Result<ExitCode, String> {
     use std::time::Duration;
     let listen = opts.serve.listen.as_deref().unwrap_or("unix:bhive.sock");
     let addr = bhive::serve::BindAddr::parse(listen).map_err(|e| format!("--listen: {e}"))?;
@@ -701,6 +695,7 @@ fn run_serve(opts: &Options) -> Result<ExitCode, String> {
     };
     let cfg = bhive::serve::ServeConfig {
         uarch: opts.uarch,
+        tables,
         config: ProfileConfig::bhive().with_retries(opts.retries),
         cache_dir: opts.cache_dir(),
         workers,
@@ -747,23 +742,24 @@ fn run_serve(opts: &Options) -> Result<ExitCode, String> {
     })
 }
 
-/// Loads a `bhive-tables/v1` file and installs it process-wide, so
-/// every subsequent `UarchKind::desc()` — the profiler, the models,
-/// the serve daemon — resolves to the fitted tables.
-fn install_fitted_tables(path: &std::path::Path, uarch: UarchKind) -> Result<(), CliError> {
-    let (kind, overrides) = bhive::uarch::FittedTables::load(path)
+/// The fitted tables `--tables` names, checked against `--uarch`; the
+/// empty set (the shipped tables) without the flag.
+fn load_tables(opts: &Options) -> Result<TableOverrides, CliError> {
+    let Some(path) = &opts.tables else {
+        return Ok(TableOverrides::new());
+    };
+    let (kind, overrides) = FittedTables::load(path)
         .map_err(|e| CliError::Runtime(format!("loading --tables {}: {e}", path.display())))?;
-    if kind != uarch {
+    if kind != opts.uarch {
         return Err(CliError::Usage(format!(
             "--tables {} is fitted for {}, but --uarch is {}; pass --uarch {}",
             path.display(),
             kind.short_name(),
-            uarch.short_name(),
+            opts.uarch.short_name(),
             kind.short_name()
         )));
     }
-    bhive::uarch::install_tables(kind, overrides);
-    Ok(())
+    Ok(overrides)
 }
 
 /// The `calibrate` command: measure the probe battery, fit tables,
@@ -795,7 +791,7 @@ fn run_calibrate(opts: &Options) -> Result<ExitCode, CliError> {
         obs,
         stop: None,
     };
-    let outcome = match bhive::learn::calibrate(bhive::uarch::builtin(opts.uarch), &calib_opts) {
+    let outcome = match bhive::learn::calibrate(opts.uarch.desc(), &calib_opts) {
         Ok(outcome) => outcome,
         Err(bhive::learn::CalibrationError::Interrupted) => {
             eprintln!("calibrate: interrupted; rerun with the same --cache to resume");
@@ -931,10 +927,9 @@ fn run_shard_worker(
         .cache_dir()
         .ok_or("--shard needs a cache directory (--cache DIR or BHIVE_CACHE)")?;
     let corpus = pipeline.corpus(opts.corpus);
-    let config = pipeline.profile_config();
-    let stats =
-        MeasuredCorpus::measure_shard(&corpus, opts.uarch, &config, opts.threads, &dir, spec)
-            .map_err(|e| format!("shard {spec}: {e}"))?;
+    let profiler = Profiler::new(pipeline.uarch(opts.uarch), pipeline.profile_config());
+    let stats = MeasuredCorpus::measure_shard(&corpus, &profiler, opts.threads, &dir, spec)
+        .map_err(|e| format!("shard {spec}: {e}"))?;
     if stats.interrupted {
         // An interrupted shard must not certify completion: everything
         // measured so far is already flushed to the shard cache, and
@@ -948,9 +943,8 @@ fn run_shard_worker(
         );
         return Ok(stats);
     }
-    // The report binds to the exact corpus and config, so a stale report
-    // from a different run can never satisfy a resume.
-    let profiler = Profiler::new(opts.uarch.desc(), config.clone());
+    // The report binds to the exact corpus, config and tables, so a
+    // stale report from a different run can never satisfy a resume.
     let keys = corpus_keys(&profiler, &corpus.basic_blocks());
     let report = ShardRunReport {
         schema: SHARD_REPORT_SCHEMA.to_string(),
@@ -958,7 +952,7 @@ fn run_shard_worker(
         corpus: opts.corpus.name().to_string(),
         corpus_len: keys.len(),
         corpus_fp: corpus_fingerprint(&keys),
-        config_fp: config.fingerprint(),
+        config_fp: binding_fingerprint(profiler.config(), profiler.uarch()),
         uarch: opts.uarch,
         stats: ShardStats::from(&stats),
     };
@@ -987,10 +981,11 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
         .ok_or("--workers needs a cache directory (--cache DIR or BHIVE_CACHE)")?;
     let corpus = pipeline.corpus(opts.corpus);
     let config = pipeline.profile_config();
-    let profiler = Profiler::new(opts.uarch.desc(), config.clone());
+    let uarch = pipeline.uarch(opts.uarch);
+    let profiler = Profiler::new(uarch, config.clone());
     let keys = corpus_keys(&profiler, &corpus.basic_blocks());
     let corpus_fp = corpus_fingerprint(&keys);
-    let config_fp = config.fingerprint();
+    let config_fp = binding_fingerprint(&config, uarch);
     let specs: Vec<ShardSpec> = (0..workers)
         .map(|i| ShardSpec::new(i, workers).expect("index < count"))
         .collect();
@@ -1020,7 +1015,8 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
         );
         let mut children = Vec::new();
         for &spec in &pending {
-            let child = std::process::Command::new(&exe)
+            let mut command = std::process::Command::new(&exe);
+            command
                 .arg("measure")
                 .arg("--shard")
                 .arg(spec.to_string())
@@ -1032,7 +1028,11 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
                 .args(["--corpus", opts.corpus.name()])
                 .arg("--cache")
                 .arg(&dir)
-                .stdout(std::process::Stdio::null())
+                .stdout(std::process::Stdio::null());
+            if let Some(path) = &opts.tables {
+                command.arg("--tables").arg(path);
+            }
+            let child = command
                 .spawn()
                 .map_err(|e| format!("spawning shard worker {spec}: {e}"))?;
             children.push((spec, child));
@@ -1059,7 +1059,7 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
             None => merged = Some(report.stats),
         }
     }
-    let merge = merge_shard_caches(&dir, opts.uarch, &config, workers)
+    let merge = merge_shard_caches(&dir, uarch, &config, workers)
         .map_err(|e| format!("merging shard caches: {e}"))?;
     eprintln!(
         "supervisor: merged {} shard log(s) and {} steal segment(s) into {} cached record(s)",
@@ -1338,10 +1338,10 @@ mod tests {
 
         let opts = parse(&["--tables", "t.json"]).unwrap();
         assert_eq!(opts.tables, Some(std::path::PathBuf::from("t.json")));
-        // Worker processes would run on the shipped tables, so the
-        // combination is rejected at parse time.
-        assert!(parse(&["--tables", "t.json", "--workers", "2"]).is_err());
-        assert!(parse(&["--tables", "t.json", "--shard", "0/2"]).is_err());
+        // Shard workers get the file on their command line, so the
+        // tables combine with sharding.
+        assert!(parse(&["--tables", "t.json", "--workers", "2"]).is_ok());
+        assert!(parse(&["--tables", "t.json", "--shard", "0/2"]).is_ok());
         assert!(parse(&["--report"]).is_err(), "--report needs a value");
     }
 

@@ -26,7 +26,7 @@
 //! ```
 //! use bhive::harness::{ProfileConfig, Profiler};
 //! use bhive::models::{IacaModel, ThroughputModel};
-//! use bhive::uarch::{Uarch, UarchKind};
+//! use bhive::uarch::Uarch;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let block = bhive::asm::parse_block("xor edx, edx\ndiv ecx\ntest edx, edx")?;
@@ -36,7 +36,7 @@
 //! let measured = profiler.profile(&block)?.throughput;
 //!
 //! // Ask the IACA-like model.
-//! let predicted = IacaModel::new(UarchKind::Haswell).predict(&block).unwrap();
+//! let predicted = IacaModel::new(Uarch::haswell()).predict(&block).unwrap();
 //!
 //! // The paper's case study: measured ~21.6, IACA predicts ~98.
 //! assert!(predicted > 2.0 * measured);

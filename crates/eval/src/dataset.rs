@@ -36,74 +36,33 @@ pub struct MeasuredCorpus {
 }
 
 impl MeasuredCorpus {
-    /// Profiles every block of `corpus` on `uarch` with the paper's full
-    /// configuration (or a caller-supplied one) and keeps the successes.
+    /// Profiles every block of `corpus` with `profiler` — its
+    /// microarchitecture, tables and configuration — and keeps the
+    /// successes, returning the profiling pipeline's [`ProfileStats`]
+    /// (dedup hit rate, worker utilization, failure mix) alongside.
     ///
     /// AVX2 blocks are skipped on Ivy Bridge, exactly as the paper
     /// excludes them from Ivy Bridge validation.
+    ///
+    /// With a `cache_dir`, warm blocks are served from the on-disk
+    /// measurement cache (bit-identical to measuring them) and cold
+    /// blocks are persisted as the run progresses, so an interrupted run
+    /// resumes where it stopped. A cache directory that cannot be opened
+    /// disables caching for the run (with a warning on stderr) rather
+    /// than failing it. With [`Supervision::obs`] enabled the returned
+    /// stats carry the merged deterministic run record
+    /// ([`ProfileStats::obs`]); the measured blocks themselves are
+    /// bit-identical to an unobserved run.
     pub fn measure(
         corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-        threads: usize,
-    ) -> MeasuredCorpus {
-        MeasuredCorpus::measure_with_stats(corpus, uarch, config, threads).0
-    }
-
-    /// Like [`MeasuredCorpus::measure`], additionally returning the
-    /// profiling pipeline's [`ProfileStats`] (dedup hit rate, worker
-    /// utilization, failure mix) for observability.
-    pub fn measure_with_stats(
-        corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-        threads: usize,
-    ) -> (MeasuredCorpus, ProfileStats) {
-        MeasuredCorpus::measure_with_stats_cached(corpus, uarch, config, threads, None)
-    }
-
-    /// Like [`MeasuredCorpus::measure_with_stats`], with an optional
-    /// on-disk measurement cache rooted at `cache_dir`: warm blocks are
-    /// served from disk (bit-identical to measuring them), cold blocks
-    /// are measured and persisted as the run progresses, so an
-    /// interrupted run resumes where it stopped.
-    ///
-    /// A cache directory that cannot be opened disables caching for the
-    /// run (with a warning on stderr) rather than failing it.
-    pub fn measure_with_stats_cached(
-        corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-        threads: usize,
-        cache_dir: Option<&Path>,
-    ) -> (MeasuredCorpus, ProfileStats) {
-        MeasuredCorpus::measure_with_stats_supervised(
-            corpus,
-            uarch,
-            config,
-            threads,
-            cache_dir,
-            &Supervision::default(),
-        )
-    }
-
-    /// Like [`MeasuredCorpus::measure_with_stats_cached`], with explicit
-    /// [`Supervision`] — breaker tuning and observability. With
-    /// [`Supervision::obs`] enabled the returned stats carry the merged
-    /// deterministic run record ([`ProfileStats::obs`]); the measured
-    /// blocks themselves are bit-identical to an unobserved run.
-    pub fn measure_with_stats_supervised(
-        corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
+        profiler: &Profiler,
         threads: usize,
         cache_dir: Option<&Path>,
         supervision: &Supervision,
     ) -> (MeasuredCorpus, ProfileStats) {
-        let profiler = Profiler::new(uarch.desc(), config.clone());
         let blocks = corpus.basic_blocks();
-        let mut cache =
-            cache_dir.and_then(|dir| match MeasurementCache::open(dir, uarch, config) {
+        let mut cache = cache_dir.and_then(|dir| {
+            match MeasurementCache::open_for(dir, profiler.uarch(), profiler.config()) {
                 Ok(cache) => Some(cache),
                 Err(err) => {
                     eprintln!(
@@ -112,9 +71,10 @@ impl MeasuredCorpus {
                     );
                     None
                 }
-            });
+            }
+        });
         let report =
-            profile_corpus_supervised(&profiler, &blocks, threads, cache.as_mut(), supervision);
+            profile_corpus_supervised(profiler, &blocks, threads, cache.as_mut(), supervision);
         let mut measured = Vec::new();
         for (idx, result) in report.results.iter().enumerate() {
             if let Ok(m) = result {
@@ -133,12 +93,25 @@ impl MeasuredCorpus {
         }
         (
             MeasuredCorpus {
-                uarch,
+                uarch: profiler.uarch().kind,
                 blocks: measured,
                 attempted: blocks.len(),
             },
             report.stats,
         )
+    }
+
+    /// [`MeasuredCorpus::measure`] on the shipped tables of `uarch`.
+    pub fn measure_with_stats_supervised(
+        corpus: &Corpus,
+        uarch: UarchKind,
+        config: &ProfileConfig,
+        threads: usize,
+        cache_dir: Option<&Path>,
+        supervision: &Supervision,
+    ) -> (MeasuredCorpus, ProfileStats) {
+        let profiler = Profiler::new(uarch.desc(), config.clone());
+        MeasuredCorpus::measure(corpus, &profiler, threads, cache_dir, supervision)
     }
 
     /// Profiles the shard `spec` owns of `corpus` — one worker process
@@ -148,9 +121,9 @@ impl MeasuredCorpus {
     ///
     /// Returns only the worker's [`ProfileStats`]: per-block results
     /// for the full corpus come from the supervisor's warm replay
-    /// (an ordinary [`MeasuredCorpus::measure_with_stats_supervised`])
-    /// after [`bhive_harness::merge_shard_caches`], which is what makes
-    /// the final dataset bit-identical to an unsharded run.
+    /// (an ordinary [`MeasuredCorpus::measure`]) after
+    /// [`bhive_harness::merge_shard_caches`], which is what makes the
+    /// final dataset bit-identical to an unsharded run.
     ///
     /// # Errors
     ///
@@ -158,16 +131,14 @@ impl MeasuredCorpus {
     /// contention when another live worker already owns this shard.
     pub fn measure_shard(
         corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
+        profiler: &Profiler,
         threads: usize,
         cache_dir: &Path,
         spec: bhive_harness::ShardSpec,
     ) -> std::io::Result<ProfileStats> {
-        let profiler = Profiler::new(uarch.desc(), config.clone());
         let blocks = corpus.basic_blocks();
         let report = bhive_harness::profile_corpus_sharded(
-            &profiler,
+            profiler,
             &blocks,
             threads,
             cache_dir,
@@ -283,11 +254,15 @@ mod tests {
     use super::*;
     use bhive_corpus::Scale;
 
+    fn measure(corpus: &Corpus, uarch: UarchKind) -> MeasuredCorpus {
+        let profiler = Profiler::new(uarch.desc(), ProfileConfig::bhive().quiet());
+        MeasuredCorpus::measure(corpus, &profiler, 2, None, &Supervision::default()).0
+    }
+
     #[test]
     fn dataset_csv_round_trip() {
         let corpus = Corpus::generate(Scale::PerApp(6), 2);
-        let config = ProfileConfig::bhive().quiet();
-        let measured = MeasuredCorpus::measure(&corpus, UarchKind::Skylake, &config, 2);
+        let measured = measure(&corpus, UarchKind::Skylake);
         let mut buf = Vec::new();
         measured.write_csv(&mut buf).unwrap();
         let read = MeasuredCorpus::read_csv(std::io::Cursor::new(buf)).unwrap();
@@ -303,8 +278,7 @@ mod tests {
     #[test]
     fn measures_a_small_corpus() {
         let corpus = Corpus::generate(Scale::PerApp(8), 11);
-        let config = ProfileConfig::bhive().quiet();
-        let measured = MeasuredCorpus::measure(&corpus, UarchKind::Haswell, &config, 2);
+        let measured = measure(&corpus, UarchKind::Haswell);
         assert_eq!(measured.attempted, corpus.len());
         assert!(measured.success_rate() > 0.7, "{}", measured.success_rate());
         assert!(measured.blocks.iter().all(|m| m.throughput > 0.0));
@@ -315,8 +289,7 @@ mod tests {
     #[test]
     fn read_csv_skips_general_comments() {
         let corpus = Corpus::generate(Scale::PerApp(4), 5);
-        let config = ProfileConfig::bhive().quiet();
-        let measured = MeasuredCorpus::measure(&corpus, UarchKind::Skylake, &config, 2);
+        let measured = measure(&corpus, UarchKind::Skylake);
         let mut buf = Vec::new();
         measured.write_csv(&mut buf).unwrap();
         // Sprinkle annotations the way hand-edited artifacts have them.
@@ -332,8 +305,7 @@ mod tests {
     #[test]
     fn read_csv_rejects_uarch_header_after_data() {
         let corpus = Corpus::generate(Scale::PerApp(4), 5);
-        let config = ProfileConfig::bhive().quiet();
-        let measured = MeasuredCorpus::measure(&corpus, UarchKind::Haswell, &config, 2);
+        let measured = measure(&corpus, UarchKind::Haswell);
         let mut buf = Vec::new();
         measured.write_csv(&mut buf).unwrap();
         let mut text = String::from_utf8(buf).unwrap();
@@ -347,24 +319,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bhive-dataset-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let corpus = Corpus::generate(Scale::PerApp(5), 9);
-        let config = ProfileConfig::bhive().quiet();
-        let (cold, cold_stats) = MeasuredCorpus::measure_with_stats_cached(
-            &corpus,
-            UarchKind::Haswell,
-            &config,
-            2,
-            Some(&dir),
-        );
+        let profiler = Profiler::new(UarchKind::Haswell.desc(), ProfileConfig::bhive().quiet());
+        let supervision = Supervision::default();
+        let (cold, cold_stats) =
+            MeasuredCorpus::measure(&corpus, &profiler, 2, Some(&dir), &supervision);
         let cold_cache = cold_stats.cache.expect("cache active");
         assert_eq!(cold_cache.hits, 0);
         assert!(cold_cache.misses > 0);
-        let (warm, warm_stats) = MeasuredCorpus::measure_with_stats_cached(
-            &corpus,
-            UarchKind::Haswell,
-            &config,
-            2,
-            Some(&dir),
-        );
+        let (warm, warm_stats) =
+            MeasuredCorpus::measure(&corpus, &profiler, 2, Some(&dir), &supervision);
         let warm_cache = warm_stats.cache.expect("cache active");
         assert_eq!(warm_cache.misses, 0, "everything served from disk");
         assert_eq!(warm_cache.hits, cold_cache.misses);
@@ -378,8 +341,7 @@ mod tests {
     #[test]
     fn ivb_excludes_avx2() {
         let corpus = Corpus::for_apps(&[Application::TensorFlow], Scale::PerApp(30), 3);
-        let config = ProfileConfig::bhive().quiet();
-        let measured = MeasuredCorpus::measure(&corpus, UarchKind::IvyBridge, &config, 2);
+        let measured = measure(&corpus, UarchKind::IvyBridge);
         assert!(measured.blocks.iter().all(|m| !m.block.uses_avx2()));
     }
 }

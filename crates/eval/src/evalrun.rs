@@ -170,18 +170,20 @@ impl EvalRun {
 mod tests {
     use super::*;
     use bhive_corpus::{Corpus, Scale};
-    use bhive_harness::ProfileConfig;
+    use bhive_harness::{ProfileConfig, Profiler, Supervision};
     use bhive_models::BaselineTableModel;
     use bhive_uarch::UarchKind;
 
     #[test]
     fn end_to_end_evaluation() {
         let corpus = Corpus::generate(Scale::PerApp(6), 21);
-        let data = crate::dataset::MeasuredCorpus::measure(
+        let profiler = Profiler::new(UarchKind::Haswell.desc(), ProfileConfig::bhive().quiet());
+        let (data, _) = crate::dataset::MeasuredCorpus::measure(
             &corpus,
-            UarchKind::Haswell,
-            &ProfileConfig::bhive().quiet(),
+            &profiler,
             2,
+            None,
+            &Supervision::default(),
         );
         assert!(!data.blocks.is_empty());
         let classifier = crate::classify::Classifier::fit(
@@ -192,7 +194,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             UarchKind::Haswell,
         );
-        let model = BaselineTableModel::new(UarchKind::Haswell);
+        let model = BaselineTableModel::new(UarchKind::Haswell.desc());
         let run = EvalRun::evaluate(&model, &data, &classifier);
         assert_eq!(run.preds.len(), data.blocks.len());
         assert!(run.coverage() > 0.95);

@@ -35,9 +35,9 @@ pub use evalrun::{EvalRun, Prediction};
 pub use report::{fmt_f, fmt_pct, Report};
 
 use bhive_corpus::{Corpus, Scale};
-use bhive_harness::{ObsConfig, ProfileConfig, ProfileStats, Supervision};
+use bhive_harness::{ObsConfig, ProfileConfig, ProfileStats, Profiler, Supervision};
 use bhive_models::{IacaModel, IthemalConfig, IthemalModel, McaModel, OsacaModel, ThroughputModel};
-use bhive_uarch::UarchKind;
+use bhive_uarch::{Uarch, UarchKind};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -88,6 +88,7 @@ pub struct Pipeline {
     seed: u64,
     threads: usize,
     retries: u32,
+    tables: Option<&'static Uarch>,
     cache_dir: Option<PathBuf>,
     obs: ObsConfig,
     corpora: Mutex<HashMap<CorpusKind, Arc<Corpus>>>,
@@ -106,6 +107,7 @@ impl Pipeline {
             seed,
             threads,
             retries: 0,
+            tables: None,
             cache_dir: None,
             obs: ObsConfig::default(),
             corpora: Mutex::new(HashMap::new()),
@@ -141,6 +143,25 @@ impl Pipeline {
     pub fn with_retries(mut self, retries: u32) -> Pipeline {
         self.retries = retries;
         self
+    }
+
+    /// Runs every measurement and model for `uarch.kind` on `uarch`'s
+    /// tables (fitted ones, from [`bhive_uarch::fitted_uarch`]) instead
+    /// of the shipped ones. The tables fold into the cache binding, so
+    /// their measurements never mix with shipped-table records.
+    #[must_use]
+    pub fn with_tables(mut self, uarch: &'static Uarch) -> Pipeline {
+        self.tables = Some(uarch);
+        self
+    }
+
+    /// The description this pipeline runs `kind` on: the tables given
+    /// to [`Pipeline::with_tables`] for their kind, the shipped ones
+    /// otherwise.
+    pub fn uarch(&self, kind: UarchKind) -> &'static Uarch {
+        self.tables
+            .filter(|tables| tables.kind == kind)
+            .unwrap_or_else(|| kind.desc())
     }
 
     /// The retry budget per transiently failed block.
@@ -214,10 +235,10 @@ impl Pipeline {
             return hit.clone();
         }
         let corpus = self.corpus(kind);
-        let (measured, stats) = MeasuredCorpus::measure_with_stats_supervised(
+        let profiler = Profiler::new(self.uarch(uarch), self.profile_config());
+        let (measured, stats) = MeasuredCorpus::measure(
             &corpus,
-            uarch,
-            &self.profile_config(),
+            &profiler,
             self.threads,
             self.cache_dir.as_deref(),
             &Supervision::with_obs(self.obs.clone()),
@@ -268,7 +289,7 @@ impl Pipeline {
         let data = self.measured(CorpusKind::Training, uarch);
         let model = Arc::new(IthemalModel::train(
             &data.training_pairs(),
-            uarch,
+            self.uarch(uarch),
             IthemalConfig::default(),
         ));
         self.ithemal.lock().unwrap().insert(uarch, model.clone());
@@ -278,11 +299,12 @@ impl Pipeline {
     /// The paper's four models for one microarchitecture, in the paper's
     /// reporting order (IACA, llvm-mca, Ithemal, OSACA).
     pub fn models(&self, uarch: UarchKind) -> Vec<Box<dyn ThroughputModel>> {
+        let desc = self.uarch(uarch);
         vec![
-            Box::new(IacaModel::new(uarch)),
-            Box::new(McaModel::new(uarch)),
+            Box::new(IacaModel::new(desc)),
+            Box::new(McaModel::new(desc)),
             Box::new(IthemalArc(self.ithemal(uarch))),
-            Box::new(OsacaModel::new(uarch)),
+            Box::new(OsacaModel::new(desc)),
         ]
     }
 }

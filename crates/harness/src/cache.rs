@@ -616,18 +616,17 @@ impl MeasurementCache {
     /// [`MeasurementCache::open`] against an explicit description —
     /// binds records to [`binding_fingerprint`], so a description with
     /// fitted table overrides gets its own cache namespace. `open`
-    /// delegates here with [`UarchKind::desc`] (which already reflects
-    /// any process-wide installed tables).
+    /// delegates here with the shipped description ([`UarchKind::desc`]).
     ///
     /// # Errors
     ///
     /// As [`MeasurementCache::open`].
     pub fn open_for(dir: &Path, uarch: &Uarch, config: &ProfileConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        Self::open_at_for(Self::log_path(dir, uarch.kind), uarch, config)
+        Self::open_at(Self::log_path(dir, uarch.kind), uarch, config)
     }
 
-    /// [`MeasurementCache::open`] against an explicit log path — the
+    /// [`MeasurementCache::open_for`] against an explicit log path — the
     /// entry point sharded profiling uses for its shard-suffixed logs
     /// ([`crate::shard::shard_log_path`]). Same locking, recovery, and
     /// orphan-temp cleanup as `open`.
@@ -635,25 +634,7 @@ impl MeasurementCache {
     /// # Errors
     ///
     /// As [`MeasurementCache::open`].
-    pub fn open_at(
-        path: PathBuf,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-    ) -> std::io::Result<Self> {
-        Self::open_at_for(path, uarch.desc(), config)
-    }
-
-    /// [`MeasurementCache::open_at`] against an explicit description
-    /// (see [`MeasurementCache::open_for`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`MeasurementCache::open`].
-    pub fn open_at_for(
-        path: PathBuf,
-        uarch: &Uarch,
-        config: &ProfileConfig,
-    ) -> std::io::Result<Self> {
+    pub fn open_at(path: PathBuf, uarch: &Uarch, config: &ProfileConfig) -> std::io::Result<Self> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }

@@ -37,7 +37,7 @@ impl Profiler {
     /// The content address a measurement of `block` would be cached
     /// under — an FNV-1a hash of the encoded bytes, the target
     /// microarchitecture, and the config fingerprint (folded with the
-    /// uarch's fitted-table fingerprint when one is active, see
+    /// fitted-table fingerprint of the profiler's description, see
     /// [`crate::cache::binding_fingerprint`]). `None` when the block
     /// does not encode (such blocks fail deterministically and are
     /// never cached). This is the key the on-disk cache, the parallel
@@ -147,11 +147,17 @@ impl Profiler {
         attempt: u32,
         sink: &mut dyn FnMut(AttemptEvent),
     ) -> Result<Measurement, ProfileFailure> {
+        // The kind alone is not enough: a shipped-table machine under a
+        // fitted-table profiler would measure the shipped tables and
+        // cache the result under the fitted binding.
         assert!(
-            machine.uarch().kind == self.uarch.kind,
-            "machine models {} but the profiler targets {}",
+            machine.uarch().kind == self.uarch.kind
+                && machine.uarch().table_fingerprint() == self.uarch.table_fingerprint(),
+            "machine models {} (tables {:#x}) but the profiler targets {} (tables {:#x})",
             machine.uarch().kind,
-            self.uarch.kind
+            machine.uarch().table_fingerprint(),
+            self.uarch.kind,
+            self.uarch.table_fingerprint()
         );
         if block.is_empty() {
             return Err(ProfileFailure::InvalidBlock {

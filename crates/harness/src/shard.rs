@@ -55,8 +55,8 @@
 //! exactly the acceptance bar this module is built against.
 
 use crate::cache::{
-    clean_orphaned_temps, scan_live_records, write_canonical_records, CacheStats, CachedOutcome,
-    LockGuard, MeasurementCache,
+    binding_fingerprint, clean_orphaned_temps, scan_live_records, write_canonical_records,
+    CacheStats, CachedOutcome, LockGuard, MeasurementCache,
 };
 use crate::config::ProfileConfig;
 use crate::parallel::{
@@ -65,7 +65,7 @@ use crate::parallel::{
 use crate::profiler::Profiler;
 use crate::retry::BreakerTrip;
 use bhive_asm::{fnv1a_64, BasicBlock};
-use bhive_uarch::UarchKind;
+use bhive_uarch::{Uarch, UarchKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
@@ -211,8 +211,10 @@ pub fn profile_corpus_sharded(
     supervision: &Supervision,
     spec: ShardSpec,
 ) -> std::io::Result<CorpusReport> {
-    let uarch = profiler.uarch().kind;
+    let desc = profiler.uarch();
+    let uarch = desc.kind;
     let config = profiler.config();
+    let fp = binding_fingerprint(config, desc);
     std::fs::create_dir_all(cache_dir)?;
     let keys = corpus_keys(profiler, blocks);
 
@@ -224,14 +226,14 @@ pub fn profile_corpus_sharded(
     let owned_blocks: Vec<BasicBlock> = owned.iter().map(|&idx| blocks[idx].clone()).collect();
 
     let mut cache =
-        MeasurementCache::open_at(shard_log_path(cache_dir, uarch, spec), uarch, config)?;
+        MeasurementCache::open_at(shard_log_path(cache_dir, uarch, spec), desc, config)?;
 
     // Pre-seed from the merged main log (lock-free scan): a shard run
     // started after a successful merge — or against a cache produced by
     // a single-process run — starts warm instead of re-measuring.
     let main_log = MeasurementCache::log_path(cache_dir, uarch);
     if main_log != *cache.path() {
-        for (key, outcome) in scan_live_records(&main_log, uarch, config.fingerprint())? {
+        for (key, outcome) in scan_live_records(&main_log, uarch, fp)? {
             if shard_of(key, spec.count) == spec.index && cache.get(key).is_none() {
                 cache.insert(key, outcome)?;
             }
@@ -292,7 +294,7 @@ pub fn profile_corpus_sharded(
                 }
             }
             for log in &victim_logs {
-                for (key, _) in scan_live_records(log, uarch, config.fingerprint())? {
+                for (key, _) in scan_live_records(log, uarch, fp)? {
                     done.insert(key);
                 }
             }
@@ -313,7 +315,7 @@ pub fn profile_corpus_sharded(
                 .collect();
             let mut segment = MeasurementCache::open_at(
                 steal_log_path(cache_dir, uarch, spec, victim),
-                uarch,
+                desc,
                 config,
             )?;
             let steal_report = profile_corpus_supervised(
@@ -345,7 +347,9 @@ pub struct MergeReport {
 }
 
 /// Unions every shard log and steal segment for `(dir, uarch, config)`
-/// into the canonical main log, then deletes them.
+/// into the canonical main log, then deletes them. Records are kept by
+/// [`binding_fingerprint`], so a run on fitted tables merges its own
+/// records and nothing a shipped-table run left behind.
 ///
 /// The union keeps one record per key and **verifies agreement**: two
 /// logs holding *different* bodies for the same key means the purity
@@ -366,11 +370,12 @@ pub struct MergeReport {
 /// lock is held), on conflicting records, or on real I/O errors.
 pub fn merge_shard_caches(
     dir: &Path,
-    uarch: UarchKind,
+    uarch: &Uarch,
     config: &ProfileConfig,
     count: u32,
 ) -> std::io::Result<MergeReport> {
-    let fp = config.fingerprint();
+    let fp = binding_fingerprint(config, uarch);
+    let uarch = uarch.kind;
     let main = MeasurementCache::log_path(dir, uarch);
     std::fs::create_dir_all(dir)?;
     // Hold the main log's writer lock for the whole merge: no cache may
@@ -649,7 +654,9 @@ pub struct ShardRunReport {
     /// the exact block sequence, so a report from yesterday's corpus
     /// cannot satisfy today's resume.
     pub corpus_fp: u64,
-    /// The profiler's config fingerprint.
+    /// The profiler's binding fingerprint: the config fingerprint,
+    /// folded with the fitted-table fingerprint when one is active
+    /// ([`crate::cache::binding_fingerprint`]).
     pub config_fp: u64,
     /// Target microarchitecture.
     pub uarch: UarchKind,
@@ -775,7 +782,6 @@ mod tests {
     use super::*;
     use crate::config::ProfileConfig;
     use bhive_asm::parse_block;
-    use bhive_uarch::Uarch;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -840,7 +846,8 @@ mod tests {
         let blocks = small_corpus(24);
         let profiler = hsw_profiler();
         let config = profiler.config().clone();
-        let uarch = profiler.uarch().kind;
+        let desc = profiler.uarch();
+        let uarch = desc.kind;
 
         // Single-process reference, compacted to canonical bytes.
         let ref_dir = temp_dir("ref");
@@ -858,7 +865,7 @@ mod tests {
             profile_corpus_sharded(&profiler, &blocks, 2, &dir, &Supervision::default(), spec)
                 .unwrap();
         }
-        let merged = merge_shard_caches(&dir, uarch, &config, 3).unwrap();
+        let merged = merge_shard_caches(&dir, desc, &config, 3).unwrap();
         assert!(merged.records > 0);
         let merged_bytes = std::fs::read(MeasurementCache::log_path(&dir, uarch)).unwrap();
         assert_eq!(
@@ -880,13 +887,14 @@ mod tests {
         let blocks = small_corpus(18);
         let profiler = hsw_profiler();
         let config = profiler.config().clone();
-        let uarch = profiler.uarch().kind;
+        let desc = profiler.uarch();
+        let uarch = desc.kind;
         let dir = temp_dir("steal");
         // Only shard 0 of 2 runs; its stealing sweep must finish shard
         // 1's keys, so the merge yields the complete corpus.
         let spec = ShardSpec::new(0, 2).unwrap();
         profile_corpus_sharded(&profiler, &blocks, 2, &dir, &Supervision::default(), spec).unwrap();
-        merge_shard_caches(&dir, uarch, &config, 2).unwrap();
+        merge_shard_caches(&dir, desc, &config, 2).unwrap();
         let mut cache = MeasurementCache::open(&dir, uarch, &config).unwrap();
         let keys = corpus_keys(&profiler, &blocks);
         for key in keys.iter().flatten() {
@@ -909,10 +917,11 @@ mod tests {
     fn merge_refuses_while_a_shard_writer_is_live() {
         let dir = temp_dir("live-writer");
         let config = ProfileConfig::bhive().quiet();
-        let uarch = UarchKind::Haswell;
+        let uarch = UarchKind::Haswell.desc();
         let spec = ShardSpec::new(0, 2).unwrap();
         let _held =
-            MeasurementCache::open_at(shard_log_path(&dir, uarch, spec), uarch, &config).unwrap();
+            MeasurementCache::open_at(shard_log_path(&dir, uarch.kind, spec), uarch, &config)
+                .unwrap();
         let err = merge_shard_caches(&dir, uarch, &config, 2).unwrap_err();
         assert!(
             err.to_string().contains("live writer"),
@@ -925,14 +934,14 @@ mod tests {
         let blocks = small_corpus(8);
         let profiler = hsw_profiler();
         let config = profiler.config().clone();
-        let uarch = profiler.uarch().kind;
+        let uarch = profiler.uarch();
         let dir = temp_dir("idempotent");
         let spec = ShardSpec::new(0, 1).unwrap();
         profile_corpus_sharded(&profiler, &blocks, 1, &dir, &Supervision::default(), spec).unwrap();
         merge_shard_caches(&dir, uarch, &config, 1).unwrap();
-        let first = std::fs::read(MeasurementCache::log_path(&dir, uarch)).unwrap();
+        let first = std::fs::read(MeasurementCache::log_path(&dir, uarch.kind)).unwrap();
         merge_shard_caches(&dir, uarch, &config, 1).unwrap();
-        let second = std::fs::read(MeasurementCache::log_path(&dir, uarch)).unwrap();
+        let second = std::fs::read(MeasurementCache::log_path(&dir, uarch.kind)).unwrap();
         assert_eq!(first, second);
     }
 

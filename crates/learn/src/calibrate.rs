@@ -265,7 +265,7 @@ struct EntryState {
 ///
 /// `target` must be `'static` because candidate simulation reuses the
 /// harness profiler, which borrows its machine description for the
-/// process lifetime; pass a built-in via [`bhive_uarch::builtin`] or a
+/// process lifetime; pass a shipped one via [`bhive_uarch::UarchKind::desc`] or a
 /// synthetic table via [`Uarch::leak`].
 pub fn calibrate(
     target: &'static Uarch,

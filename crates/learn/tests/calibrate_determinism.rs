@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use bhive_harness::ObsConfig;
 use bhive_learn::calibrate::{calibrate, CalibrationError, CalibrationOptions};
-use bhive_uarch::{builtin, UarchKind};
+use bhive_uarch::UarchKind;
 
 fn run(opts: CalibrationOptions) -> Result<bhive_learn::CalibrationOutcome, CalibrationError> {
-    calibrate(builtin(UarchKind::IvyBridge), &opts)
+    calibrate(UarchKind::IvyBridge.desc(), &opts)
 }
 
 fn quick_opts() -> CalibrationOptions {

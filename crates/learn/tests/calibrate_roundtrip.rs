@@ -10,7 +10,7 @@
 
 use bhive_corpus::probe::PROBE_ENTRIES;
 use bhive_learn::calibrate::{calibrate, CalibrationOptions};
-use bhive_uarch::{builtin, port_vocabulary, PortSet, TableOverrides, Uarch, UarchKind};
+use bhive_uarch::{port_vocabulary, PortSet, TableOverrides, Uarch, UarchKind};
 use proptest::prelude::*;
 
 /// Builds a synthetic target: the shipped machine with every probe
@@ -20,7 +20,7 @@ fn synthetic_target(
     latencies: &[u32],
     mask_picks: &[usize],
 ) -> (&'static Uarch, TableOverrides) {
-    let base = builtin(kind);
+    let base = kind.desc();
     let vocab: Vec<u8> = {
         let mut v: Vec<u8> = port_vocabulary(base).iter().map(|p| p.mask()).collect();
         v.sort_unstable();

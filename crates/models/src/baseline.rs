@@ -2,7 +2,7 @@
 
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::BasicBlock;
-use bhive_uarch::{decompose, UarchKind};
+use bhive_uarch::{decompose, Uarch, UarchKind};
 
 /// The simplest possible cost model: sum of per-instruction reciprocal
 /// throughputs, ignoring parallelism between instructions entirely.
@@ -13,13 +13,13 @@ use bhive_uarch::{decompose, UarchKind};
 /// included as an ablation baseline for the evaluation.
 #[derive(Debug, Clone)]
 pub struct BaselineTableModel {
-    kind: UarchKind,
+    uarch: &'static Uarch,
 }
 
 impl BaselineTableModel {
-    /// A baseline targeting `kind`.
-    pub fn new(kind: UarchKind) -> BaselineTableModel {
-        BaselineTableModel { kind }
+    /// A baseline on `uarch`'s tables.
+    pub fn new(uarch: &'static Uarch) -> BaselineTableModel {
+        BaselineTableModel { uarch }
     }
 }
 
@@ -29,17 +29,16 @@ impl ThroughputModel for BaselineTableModel {
     }
 
     fn uarch(&self) -> UarchKind {
-        self.kind
+        self.uarch.kind
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
-        let uarch = self.kind.desc();
         let mut total = 0.0f64;
         for inst in block.iter() {
-            let recipe = decompose(inst, uarch);
+            let recipe = decompose(inst, self.uarch);
             if recipe.eliminated {
                 total += 0.25; // rename slot
                 continue;
@@ -67,7 +66,7 @@ mod tests {
 
     #[test]
     fn additive_model_ignores_parallelism() {
-        let model = BaselineTableModel::new(UarchKind::Haswell);
+        let model = BaselineTableModel::new(Uarch::haswell());
         let one = parse_block("add rax, 1").unwrap();
         let four = parse_block("add rax, 1\nadd rbx, 1\nadd rcx, 1\nadd rsi, 1").unwrap();
         let t1 = model.predict(&one).unwrap();
@@ -80,7 +79,7 @@ mod tests {
 
     #[test]
     fn divider_dominates() {
-        let model = BaselineTableModel::new(UarchKind::Haswell);
+        let model = BaselineTableModel::new(Uarch::haswell());
         let tp = model.predict(&parse_block("div ecx").unwrap()).unwrap();
         assert!(tp > 15.0, "{tp}");
     }

@@ -1,7 +1,7 @@
 //! Feature extraction for the learned (Ithemal-like) model.
 
 use bhive_asm::{BasicBlock, Mnemonic, MnemonicClass, Operand, VecWidth};
-use bhive_uarch::{decompose, UarchKind};
+use bhive_uarch::{decompose, Uarch};
 use std::collections::HashMap;
 
 /// Number of features produced by [`block_features`].
@@ -13,8 +13,7 @@ pub const FEATURE_DIMS: usize = 31;
 /// structure (uop counts and analytic throughput bounds computed from the
 /// port tables) — the kind of information a token-level neural model
 /// learns to extract from raw assembly.
-pub fn block_features(block: &BasicBlock, kind: UarchKind) -> Vec<f64> {
-    let uarch = kind.desc();
+pub fn block_features(block: &BasicBlock, uarch: &Uarch) -> Vec<f64> {
     let mut n_loads = 0f64;
     let mut n_stores = 0f64;
     let mut n_vec = 0f64;
@@ -112,8 +111,8 @@ pub fn block_features(block: &BasicBlock, kind: UarchKind) -> Vec<f64> {
     // path computed over two unrolled copies (difference isolates the
     // loop-carried chain).
     let pressure_bound = pressure.iter().copied().fold(0.0f64, f64::max);
-    let chain2 = chain_depth(block, kind, 2);
-    let chain1 = chain_depth(block, kind, 1);
+    let chain2 = chain_depth(block, uarch, 2);
+    let chain1 = chain_depth(block, uarch, 1);
     let carried_chain = (chain2 - chain1).max(0.0);
     let frontend_bound = slot_count / f64::from(uarch.issue_width);
     let max_bound = pressure_bound.max(carried_chain).max(frontend_bound);
@@ -159,8 +158,7 @@ pub fn block_features(block: &BasicBlock, kind: UarchKind) -> Vec<f64> {
 
 /// Critical-path latency of `copies` unrolled copies of the block, using
 /// per-uarch latencies and register/flag dependencies.
-fn chain_depth(block: &BasicBlock, kind: UarchKind, copies: usize) -> f64 {
-    let uarch = kind.desc();
+fn chain_depth(block: &BasicBlock, uarch: &Uarch, copies: usize) -> f64 {
     let mut ready: HashMap<u8, f64> = HashMap::new(); // gpr number -> ready time
     let mut vec_ready: HashMap<u8, f64> = HashMap::new();
     let mut flags_ready = 0f64;
@@ -214,7 +212,7 @@ mod tests {
     #[test]
     fn dims_are_stable() {
         let block = parse_block("add rax, 1\nmov rbx, qword ptr [rcx]").unwrap();
-        let f = block_features(&block, UarchKind::Haswell);
+        let f = block_features(&block, Uarch::haswell());
         assert_eq!(f.len(), FEATURE_DIMS);
     }
 
@@ -222,8 +220,8 @@ mod tests {
     fn features_reflect_structure() {
         let scalar = parse_block("add rax, 1\nadd rbx, 2").unwrap();
         let vector = parse_block("vfmadd231ps ymm0, ymm1, ymm2").unwrap();
-        let fs = block_features(&scalar, UarchKind::Haswell);
-        let fv = block_features(&vector, UarchKind::Haswell);
+        let fs = block_features(&scalar, Uarch::haswell());
+        let fv = block_features(&vector, Uarch::haswell());
         // Vector counts.
         assert_eq!(fs[4], 0.0);
         assert_eq!(fv[4], 1.0);
@@ -235,21 +233,21 @@ mod tests {
     fn carried_chain_detects_dependences() {
         let chained = parse_block("imul rax, rax").unwrap();
         let independent = parse_block("imul rax, rbx").unwrap();
-        let fc = block_features(&chained, UarchKind::Haswell);
-        let fi = block_features(&independent, UarchKind::Haswell);
+        let fc = block_features(&chained, Uarch::haswell());
+        let fi = block_features(&independent, Uarch::haswell());
         // Feature 18 is the loop-carried chain.
         assert!(fc[18] >= 3.0, "chained imul: {}", fc[18]);
         // `imul rax, rbx` still chains through rax (it reads rax too),
         // so compare against a truly independent producer.
         let free = parse_block("mov rax, 1").unwrap();
-        let ff = block_features(&free, UarchKind::Haswell);
+        let ff = block_features(&free, Uarch::haswell());
         assert!(ff[18] <= fi[18]);
     }
 
     #[test]
     fn bound_feature_dominates() {
         let block = parse_block("div ecx").unwrap();
-        let f = block_features(&block, UarchKind::Haswell);
+        let f = block_features(&block, Uarch::haswell());
         let max_bound = f[21];
         assert!(max_bound >= f[16] && max_bound >= f[18]);
         assert!(max_bound > 10.0, "divider occupancy dominates: {max_bound}");

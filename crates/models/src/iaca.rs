@@ -5,7 +5,7 @@ use crate::schedule::Schedule;
 use crate::scheduler::{steady_state, StaticParams};
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::{BasicBlock, Mnemonic};
-use bhive_uarch::{decompose, Recipe, UarchKind, VarLat};
+use bhive_uarch::{decompose, Recipe, Uarch, UarchKind, VarLat};
 
 /// Intel Architecture Code Analyzer.
 ///
@@ -17,23 +17,23 @@ use bhive_uarch::{decompose, Recipe, UarchKind, VarLat};
 /// either way.
 #[derive(Debug, Clone)]
 pub struct IacaModel {
-    kind: UarchKind,
+    uarch: &'static Uarch,
     /// Table-error magnitude (calibrated against Table 5).
     strength: f64,
     seed: u64,
 }
 
 impl IacaModel {
-    /// IACA targeting `kind`, with calibrated default table noise.
+    /// IACA on `uarch`'s tables, with calibrated default table noise.
     /// Intel's own tool tracks its newest microarchitecture best
     /// (the paper's Table 5: IACA's Skylake error is its lowest).
-    pub fn new(kind: UarchKind) -> IacaModel {
-        let strength = match kind {
+    pub fn new(uarch: &'static Uarch) -> IacaModel {
+        let strength = match uarch.kind {
             UarchKind::Skylake => 0.2,
             _ => 0.28,
         };
         IacaModel {
-            kind,
+            uarch,
             strength,
             seed: 0x1ACA,
         }
@@ -46,7 +46,7 @@ impl IacaModel {
     }
 
     fn recipes(&self, block: &BasicBlock) -> Vec<Recipe> {
-        let uarch = self.kind.desc();
+        let uarch = self.uarch;
         block
             .iter()
             .map(|inst| {
@@ -56,7 +56,7 @@ impl IacaModel {
                 if matches!(inst.mnemonic(), Mnemonic::Div | Mnemonic::Idiv) {
                     for uop in &mut recipe.uops {
                         if matches!(uop.var_lat, Some(VarLat::DivGpr { .. })) {
-                            let slow = match self.kind {
+                            let slow = match uarch.kind {
                                 UarchKind::Skylake => 42,
                                 _ => 95,
                             };
@@ -79,18 +79,18 @@ impl ThroughputModel for IacaModel {
     }
 
     fn uarch(&self) -> UarchKind {
-        self.kind
+        self.uarch.kind
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
         let recipes = self.recipes(block);
         let (tp, _) = steady_state(
             block,
             &recipes,
-            self.kind.desc(),
+            self.uarch,
             StaticParams { macro_fusion: true },
             self.name(),
         );
@@ -98,14 +98,14 @@ impl ThroughputModel for IacaModel {
     }
 
     fn schedule(&self, block: &BasicBlock) -> Option<Schedule> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
         let recipes = self.recipes(block);
         let (_, schedule) = steady_state(
             block,
             &recipes,
-            self.kind.desc(),
+            self.uarch,
             StaticParams { macro_fusion: true },
             self.name(),
         );
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn recognizes_zero_idiom() {
         let block = parse_block("vxorps xmm2, xmm2, xmm2").unwrap();
-        let model = IacaModel::new(UarchKind::Haswell);
+        let model = IacaModel::new(Uarch::haswell());
         let tp = model.predict(&block).unwrap();
         // Paper case study: IACA predicts 0.24 (measured 0.25).
         assert!(tp <= 0.5, "IACA should see the idiom: {tp}");
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn division_grossly_overpredicted() {
         let block = parse_block("xor edx, edx\ndiv ecx\ntest edx, edx").unwrap();
-        let model = IacaModel::new(UarchKind::Haswell);
+        let model = IacaModel::new(Uarch::haswell());
         let tp = model.predict(&block).unwrap();
         // Paper: measured 21.62, IACA predicts 98.
         assert!(tp > 60.0, "div confusion must overpredict: {tp}");
@@ -139,16 +139,16 @@ mod tests {
     #[test]
     fn refuses_avx2_on_ivb() {
         let block = parse_block("vfmadd231ps ymm0, ymm1, ymm2").unwrap();
-        assert!(IacaModel::new(UarchKind::IvyBridge)
+        assert!(IacaModel::new(Uarch::ivy_bridge())
             .predict(&block)
             .is_none());
-        assert!(IacaModel::new(UarchKind::Haswell).predict(&block).is_some());
+        assert!(IacaModel::new(Uarch::haswell()).predict(&block).is_some());
     }
 
     #[test]
     fn produces_schedules() {
         let block = parse_block("add rax, 1\nimul rbx, rax").unwrap();
-        let model = IacaModel::new(UarchKind::Haswell);
+        let model = IacaModel::new(Uarch::haswell());
         let schedule = model.schedule(&block).unwrap();
         assert_eq!(schedule.model, "iaca");
         assert!(!schedule.uops.is_empty());

@@ -4,7 +4,7 @@ use crate::features::{block_features, FEATURE_DIMS};
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::BasicBlock;
 use bhive_learn::regress::{SgdConfig, SgdRegressor};
-use bhive_uarch::UarchKind;
+use bhive_uarch::{Uarch, UarchKind};
 use serde::{Deserialize, Serialize};
 
 /// Training configuration for the learned model.
@@ -35,16 +35,17 @@ impl Default for IthemalConfig {
 /// Like the original — whose authors attribute its weakness on vectorized
 /// blocks to training-set imbalance — this model is only as good as the
 /// measured corpus it was fitted to.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IthemalModel {
-    kind: UarchKind,
+    uarch: &'static Uarch,
     /// A small bagged ensemble; predictions are averaged in log space.
     regressors: Vec<SgdRegressor>,
     trained_on: usize,
 }
 
 impl IthemalModel {
-    /// Trains on `(block, measured_throughput)` pairs.
+    /// Trains on `(block, measured_throughput)` pairs measured on
+    /// `uarch`, whose tables also feed the analytic features.
     ///
     /// The target is log-throughput, which makes the squared loss a
     /// relative-error surrogate (Ithemal trains the same way).
@@ -55,7 +56,7 @@ impl IthemalModel {
     /// throughputs.
     pub fn train(
         data: &[(BasicBlock, f64)],
-        kind: UarchKind,
+        uarch: &'static Uarch,
         config: IthemalConfig,
     ) -> IthemalModel {
         assert!(!data.is_empty(), "empty training set");
@@ -63,7 +64,7 @@ impl IthemalModel {
         let mut ys = Vec::with_capacity(data.len());
         for (block, tp) in data {
             assert!(*tp > 0.0, "non-positive measured throughput {tp}");
-            xs.push(block_features(block, kind));
+            xs.push(block_features(block, uarch));
             ys.push(tp.ln());
         }
         // Bagged ensemble: the same data, different shuffle orders.
@@ -82,7 +83,7 @@ impl IthemalModel {
             })
             .collect();
         IthemalModel {
-            kind,
+            uarch,
             regressors,
             trained_on: data.len(),
         }
@@ -100,14 +101,14 @@ impl ThroughputModel for IthemalModel {
     }
 
     fn uarch(&self) -> UarchKind {
-        self.kind
+        self.uarch.kind
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
-        let features = block_features(block, self.kind);
+        let features = block_features(block, self.uarch);
         debug_assert_eq!(features.len(), FEATURE_DIMS);
         let mean_log = self
             .regressors
@@ -158,7 +159,7 @@ mod tests {
             learning_rate: 0.2,
             seed: 1,
         };
-        let model = IthemalModel::train(&data, UarchKind::Haswell, config);
+        let model = IthemalModel::train(&data, Uarch::haswell(), config);
         for (block, measured) in &data {
             let predicted = model.predict(block).unwrap();
             let rel = (predicted - measured).abs() / measured;
@@ -173,8 +174,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let data = toy_training_set();
-        let a = IthemalModel::train(&data, UarchKind::Haswell, IthemalConfig::default());
-        let b = IthemalModel::train(&data, UarchKind::Haswell, IthemalConfig::default());
+        let a = IthemalModel::train(&data, Uarch::haswell(), IthemalConfig::default());
+        let b = IthemalModel::train(&data, Uarch::haswell(), IthemalConfig::default());
         let block = parse_block("add rax, 1").unwrap();
         assert_eq!(a.predict(&block), b.predict(&block));
     }
@@ -182,7 +183,7 @@ mod tests {
     #[test]
     fn no_schedule_output() {
         let data = toy_training_set();
-        let model = IthemalModel::train(&data, UarchKind::Haswell, IthemalConfig::default());
+        let model = IthemalModel::train(&data, Uarch::haswell(), IthemalConfig::default());
         let block = parse_block("add rax, 1").unwrap();
         // "Ithemal is not a simulator ... without reporting an
         // interpretable execution trace."

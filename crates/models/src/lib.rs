@@ -30,14 +30,14 @@
 //!
 //! ```
 //! use bhive_models::{IacaModel, McaModel, ThroughputModel};
-//! use bhive_uarch::UarchKind;
+//! use bhive_uarch::Uarch;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // The paper's zero-idiom case study: IACA recognizes the idiom,
 //! // llvm-mca charges a full vector XOR.
 //! let block = bhive_asm::parse_block("vxorps xmm2, xmm2, xmm2")?;
-//! let iaca = IacaModel::new(UarchKind::Haswell);
-//! let mca = McaModel::new(UarchKind::Haswell);
+//! let iaca = IacaModel::new(Uarch::haswell());
+//! let mca = McaModel::new(Uarch::haswell());
 //! let iaca_tp = iaca.predict(&block).unwrap();
 //! let mca_tp = mca.predict(&block).unwrap();
 //! assert!(iaca_tp < 0.5 && mca_tp >= 0.9);
@@ -64,7 +64,7 @@ pub use osaca::OsacaModel;
 pub use schedule::{Schedule, ScheduledUop};
 
 use bhive_asm::BasicBlock;
-use bhive_uarch::UarchKind;
+use bhive_uarch::{Uarch, UarchKind};
 
 /// A basic-block (inverse-)throughput predictor.
 ///
@@ -94,6 +94,6 @@ pub trait ThroughputModel: Send + Sync {
 
 /// True when a block cannot run on the given microarchitecture at all
 /// (AVX2/FMA on Ivy Bridge); every model refuses such blocks.
-pub(crate) fn isa_unsupported(block: &BasicBlock, uarch: UarchKind) -> bool {
-    !uarch.desc().supports_avx2 && block.uses_avx2()
+pub(crate) fn isa_unsupported(block: &BasicBlock, uarch: &Uarch) -> bool {
+    !uarch.supports_avx2 && block.uses_avx2()
 }

@@ -5,7 +5,7 @@ use crate::schedule::Schedule;
 use crate::scheduler::{steady_state, StaticParams};
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::{BasicBlock, Inst, Mnemonic};
-use bhive_uarch::{decompose, ports, Recipe, UarchKind, Uop, UopKind, VarLat};
+use bhive_uarch::{decompose, ports, Recipe, Uarch, UarchKind, Uop, UopKind, VarLat};
 
 /// llvm-mca: an out-of-order simulator parameterized by LLVM's backend
 /// scheduling model.
@@ -26,15 +26,15 @@ use bhive_uarch::{decompose, ports, Recipe, UarchKind, Uop, UopKind, VarLat};
 ///   hardware.
 #[derive(Debug, Clone)]
 pub struct McaModel {
-    kind: UarchKind,
+    uarch: &'static Uarch,
     strength: f64,
     seed: u64,
 }
 
 impl McaModel {
-    /// llvm-mca targeting `kind`, with calibrated default table noise.
-    pub fn new(kind: UarchKind) -> McaModel {
-        let strength = match kind {
+    /// llvm-mca on `uarch`'s tables, with calibrated default table noise.
+    pub fn new(uarch: &'static Uarch) -> McaModel {
+        let strength = match uarch.kind {
             // "We suspect the decrease in performance in Skylake is a
             // result of LLVM developers having less time updating the
             // cost models for the relatively new microarchitecture."
@@ -44,7 +44,7 @@ impl McaModel {
             _ => 0.35,
         };
         McaModel {
-            kind,
+            uarch,
             strength,
             seed: 0x11CA,
         }
@@ -57,7 +57,7 @@ impl McaModel {
     }
 
     fn recipes(&self, block: &BasicBlock) -> Vec<Recipe> {
-        let uarch = self.kind.desc();
+        let uarch = self.uarch;
         block
             .iter()
             .map(|inst| {
@@ -65,13 +65,13 @@ impl McaModel {
                 // No rename-time tricks in the scheduling model: zero
                 // idioms and register moves execute as plain uops.
                 if recipe.eliminated && inst.mnemonic() != Mnemonic::Nop {
-                    recipe = un_eliminated(inst, self.kind);
+                    recipe = un_eliminated(inst, uarch.kind);
                 }
                 // The division mix-up.
                 if matches!(inst.mnemonic(), Mnemonic::Div | Mnemonic::Idiv) {
                     for uop in &mut recipe.uops {
                         if matches!(uop.var_lat, Some(VarLat::DivGpr { .. })) {
-                            let slow = match self.kind {
+                            let slow = match uarch.kind {
                                 UarchKind::Skylake => 44,
                                 _ => 96,
                             };
@@ -123,18 +123,18 @@ impl ThroughputModel for McaModel {
     }
 
     fn uarch(&self) -> UarchKind {
-        self.kind
+        self.uarch.kind
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
         let recipes = self.recipes(block);
         let (tp, _) = steady_state(
             block,
             &recipes,
-            self.kind.desc(),
+            self.uarch,
             StaticParams { macro_fusion: true },
             self.name(),
         );
@@ -142,14 +142,14 @@ impl ThroughputModel for McaModel {
     }
 
     fn schedule(&self, block: &BasicBlock) -> Option<Schedule> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
         let recipes = self.recipes(block);
         let (_, schedule) = steady_state(
             block,
             &recipes,
-            self.kind.desc(),
+            self.uarch,
             StaticParams { macro_fusion: true },
             self.name(),
         );
@@ -166,7 +166,7 @@ mod tests {
     fn misses_zero_idiom() {
         // Paper case study: llvm-mca predicts 1.00 for the idiom.
         let block = parse_block("vxorps xmm2, xmm2, xmm2").unwrap();
-        let tp = McaModel::new(UarchKind::Haswell).predict(&block).unwrap();
+        let tp = McaModel::new(Uarch::haswell()).predict(&block).unwrap();
         assert!(
             (0.8..=1.4).contains(&tp),
             "mca treats the idiom as a regular XOR: {tp}"
@@ -176,8 +176,8 @@ mod tests {
     #[test]
     fn load_op_collapse_slows_updcrc() {
         let block = bhive_corpus_updcrc();
-        let mca = McaModel::new(UarchKind::Haswell).predict(&block).unwrap();
-        let iaca = crate::IacaModel::new(UarchKind::Haswell)
+        let mca = McaModel::new(Uarch::haswell()).predict(&block).unwrap();
+        let iaca = crate::IacaModel::new(Uarch::haswell())
             .predict(&block)
             .unwrap();
         // Paper: measured 8.25, IACA 8.00, llvm-mca 13.04. The shape to
@@ -206,14 +206,14 @@ mod tests {
     #[test]
     fn division_overpredicted_like_iaca() {
         let block = parse_block("xor edx, edx\ndiv ecx\ntest edx, edx").unwrap();
-        let tp = McaModel::new(UarchKind::Haswell).predict(&block).unwrap();
+        let tp = McaModel::new(Uarch::haswell()).predict(&block).unwrap();
         assert!(tp > 60.0, "{tp}");
     }
 
     #[test]
     fn skylake_tables_are_noisier() {
         assert!(
-            McaModel::new(UarchKind::Skylake).strength > McaModel::new(UarchKind::Haswell).strength
+            McaModel::new(Uarch::skylake()).strength > McaModel::new(Uarch::haswell()).strength
         );
     }
 }

@@ -3,7 +3,7 @@
 use crate::perturb::{mix, perturb_recipe};
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::{BasicBlock, Inst, MnemonicClass, Operand};
-use bhive_uarch::{decompose, UarchKind, VarLat};
+use bhive_uarch::{decompose, Uarch, UarchKind, VarLat};
 
 /// OSACA: an open-source port-pressure analyzer driven by measured
 /// per-instruction tables.
@@ -25,16 +25,16 @@ use bhive_uarch::{decompose, UarchKind, VarLat};
 
 #[derive(Debug, Clone)]
 pub struct OsacaModel {
-    kind: UarchKind,
+    uarch: &'static Uarch,
     strength: f64,
     seed: u64,
 }
 
 impl OsacaModel {
-    /// OSACA targeting `kind`, with calibrated default table noise.
-    pub fn new(kind: UarchKind) -> OsacaModel {
+    /// OSACA on `uarch`'s tables, with calibrated default table noise.
+    pub fn new(uarch: &'static Uarch) -> OsacaModel {
         OsacaModel {
-            kind,
+            uarch,
             strength: 0.95,
             seed: 0x05AC,
         }
@@ -71,17 +71,17 @@ impl ThroughputModel for OsacaModel {
     }
 
     fn uarch(&self) -> UarchKind {
-        self.kind
+        self.uarch.kind
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
+        if block.is_empty() || isa_unsupported(block, self.uarch) {
             return None;
         }
         if block.iter().any(Self::parser_crashes) {
             return None;
         }
-        let uarch = self.kind.desc();
+        let uarch = self.uarch;
         let mut pressure = [0f64; 8];
         for inst in block.iter() {
             if Self::parses_as_nop(inst) {
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn underpredicts_latency_bound_division() {
         let block = parse_block("xor edx, edx\ndiv ecx\ntest edx, edx").unwrap();
-        let tp = OsacaModel::new(UarchKind::Haswell).predict(&block).unwrap();
+        let tp = OsacaModel::new(Uarch::haswell()).predict(&block).unwrap();
         // Paper: OSACA predicts 12.25 vs measured 21.62.
         assert!((5.0..=17.0).contains(&tp), "pressure-only estimate: {tp}");
     }
@@ -145,7 +145,7 @@ mod tests {
     fn imm_to_memory_is_a_nop() {
         let with_rmw = parse_block("add qword ptr [rbx], 1\nimul rax, rcx").unwrap();
         let without = parse_block("imul rax, rcx").unwrap();
-        let model = OsacaModel::new(UarchKind::Haswell);
+        let model = OsacaModel::new(Uarch::haswell());
         let a = model.predict(&with_rmw).unwrap();
         let b = model.predict(&without).unwrap();
         // The RMW contributes (almost) nothing.
@@ -155,15 +155,13 @@ mod tests {
     #[test]
     fn byte_memory_alu_crashes_parser() {
         let block = parse_block("xor al, byte ptr [rdi - 1]").unwrap();
-        assert!(OsacaModel::new(UarchKind::Haswell)
-            .predict(&block)
-            .is_none());
+        assert!(OsacaModel::new(Uarch::haswell()).predict(&block).is_none());
     }
 
     #[test]
     fn treats_zero_idiom_as_cheap_but_not_free() {
         let block = parse_block("vxorps xmm2, xmm2, xmm2").unwrap();
-        let tp = OsacaModel::new(UarchKind::Haswell).predict(&block).unwrap();
+        let tp = OsacaModel::new(Uarch::haswell()).predict(&block).unwrap();
         // Paper: OSACA reports 1.00.
         assert!((0.9..=1.2).contains(&tp), "{tp}");
     }

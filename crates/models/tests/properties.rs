@@ -13,10 +13,10 @@ use rand::SeedableRng;
 
 fn static_models(kind: UarchKind) -> Vec<Box<dyn ThroughputModel>> {
     vec![
-        Box::new(IacaModel::new(kind)),
-        Box::new(McaModel::new(kind)),
-        Box::new(OsacaModel::new(kind)),
-        Box::new(BaselineTableModel::new(kind)),
+        Box::new(IacaModel::new(kind.desc())),
+        Box::new(McaModel::new(kind.desc())),
+        Box::new(OsacaModel::new(kind.desc())),
+        Box::new(BaselineTableModel::new(kind.desc())),
     ]
 }
 
@@ -67,7 +67,7 @@ proptest! {
     fn schedule_matches_throughput(seed in 0u64..200) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let block = generate_block(Application::Redis, &mut rng);
-        let model = IacaModel::new(UarchKind::Haswell);
+        let model = IacaModel::new(UarchKind::Haswell.desc());
         let (Some(tp), Some(schedule)) = (model.predict(&block), model.schedule(&block))
         else {
             return Ok(());
@@ -92,7 +92,7 @@ fn ithemal_generalizes_across_apps() {
             (block, target)
         })
         .collect();
-    let model = IthemalModel::train(&train, UarchKind::Haswell, IthemalConfig::default());
+    let model = IthemalModel::train(&train, UarchKind::Haswell.desc(), IthemalConfig::default());
     for app in [
         Application::OpenBlas,
         Application::Ffmpeg,

@@ -33,7 +33,7 @@ use bhive_harness::{
     CircuitBreaker, EventBuffer, Measurement, MeasurementCache, ObsConfig, ProfileConfig,
     ProfileFailure, Profiler, RequestFailure, RunObs, TraceEvent,
 };
-use bhive_uarch::UarchKind;
+use bhive_uarch::{fitted_uarch, TableOverrides, UarchKind};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -58,6 +58,10 @@ pub struct ServeConfig {
     /// Microarchitecture this server profiles for. Requests naming a
     /// different one are malformed: one server, one uarch, one cache.
     pub uarch: UarchKind,
+    /// Fitted table overrides for `uarch` (`bhive calibrate --out`);
+    /// empty serves the shipped tables. Part of the cache binding, so
+    /// fitted answers never mix with shipped ones.
+    pub tables: TableOverrides,
     /// Profiling configuration (retries included); part of the cache
     /// fingerprint, so it must match across restarts for warm answers.
     pub config: ProfileConfig,
@@ -100,6 +104,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             uarch: UarchKind::Haswell,
+            tables: TableOverrides::new(),
             config: ProfileConfig::bhive(),
             cache_dir: None,
             workers: 2,
@@ -905,10 +910,13 @@ impl Server {
     /// I/O errors binding the socket or opening the cache.
     pub fn bind(cfg: ServeConfig, addr: &BindAddr) -> io::Result<Server> {
         let mut obs = EventBuffer::new(cfg.obs.capacity());
+        let profiler = Profiler::new(
+            fitted_uarch(cfg.uarch, cfg.tables.clone()),
+            cfg.config.clone(),
+        );
         let cache = match &cfg.cache_dir {
             Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let cache = MeasurementCache::open(dir, cfg.uarch, &cfg.config)?;
+                let cache = MeasurementCache::open_for(dir, profiler.uarch(), &cfg.config)?;
                 if cfg.obs.enabled {
                     let report = cache.open_report();
                     obs.emit(TraceEvent::CacheOpened {
@@ -935,7 +943,6 @@ impl Server {
             (Listener::Tcp(l), _) => BindAddr::Tcp(l.local_addr()?.to_string()),
             (_, addr) => addr.clone(),
         };
-        let profiler = Profiler::new(cfg.uarch.desc(), cfg.config.clone());
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             profiler,

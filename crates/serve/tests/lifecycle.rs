@@ -2,8 +2,10 @@
 //! deadlines, degradation, drain, and warm restart — every acceptance
 //! behavior of the serving layer, pinned deterministically.
 
-use bhive_harness::{BreakerConfig, ChaosInjector, FaultPlan, RequestFailure};
-use bhive_serve::{BindAddr, Client, ServeConfig, Server, ServerHandle};
+use bhive_asm::BasicBlock;
+use bhive_harness::{BreakerConfig, ChaosInjector, FaultPlan, Profiler, RequestFailure};
+use bhive_serve::{ok_response, BindAddr, Client, ServeConfig, Server, ServerHandle};
+use bhive_uarch::{fitted_uarch, ports, TableOverrides};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -106,6 +108,33 @@ fn full_lifecycle_miss_then_hit_then_warm_restart_is_bit_identical() {
     assert_eq!(summary.counters.hits, 1, "restart served from cache");
     assert_eq!(summary.counters.measured, 0, "nothing re-measured");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fitted_tables_answer_like_a_profiler_on_those_tables() {
+    let mut hot = TableOverrides::new();
+    hot.set("alu", 3, ports!(0, 1, 5, 6));
+    let cfg = ServeConfig {
+        tables: hot.clone(),
+        ..fast_config()
+    };
+    let block = BasicBlock::from_hex(ADD).expect("valid hex");
+    let fitted = Profiler::new(fitted_uarch(cfg.uarch, hot), cfg.config.clone())
+        .profile(&block)
+        .expect("profiles")
+        .throughput;
+    let shipped = Profiler::new(cfg.uarch.desc(), cfg.config.clone())
+        .profile(&block)
+        .expect("profiles")
+        .throughput;
+    assert_ne!(fitted, shipped, "the hot alu row changes the measurement");
+
+    let server = start(cfg);
+    let mut client = Client::connect(&server.addr).expect("connect");
+    let answer = client.roundtrip(&predict(1, ADD)).expect("answer");
+    assert_eq!(answer, ok_response(Some(1), fitted, "measured"));
+    drop(client);
+    server.stop();
 }
 
 #[test]

@@ -64,14 +64,14 @@ impl UarchKind {
             .find(|k| k.short_name() == lower || k.name().to_ascii_lowercase() == lower)
     }
 
-    /// The full parameter block. When a fitted table was installed
-    /// process-wide ([`crate::install_tables`]) the overridden
-    /// description is returned instead of the compiled-in one.
+    /// The shipped parameter block (compiled-in tables). Fitted tables
+    /// are carried by value instead: see [`crate::fitted_uarch`].
     pub fn desc(self) -> &'static Uarch {
-        if let Some(installed) = crate::overrides::installed(self) {
-            return installed;
+        match self {
+            UarchKind::IvyBridge => Uarch::ivy_bridge(),
+            UarchKind::Haswell => Uarch::haswell(),
+            UarchKind::Skylake => Uarch::skylake(),
         }
-        crate::overrides::builtin(self)
     }
 }
 

@@ -44,8 +44,7 @@ mod uop;
 pub use desc::{CacheParams, Uarch, UarchKind};
 pub use fusion::macro_fuses;
 pub use overrides::{
-    builtin, install_tables, EntryOverride, FittedTables, TableLoadError, TableOverrides,
-    FITTED_TABLES_SCHEMA,
+    fitted_uarch, EntryOverride, FittedTables, TableLoadError, TableOverrides, FITTED_TABLES_SCHEMA,
 };
 pub use ports::{Port, PortSet};
 pub use tables::{decompose, decompose_cached, entry_key, port_vocabulary};

@@ -4,9 +4,9 @@
 //! Rust. Calibration (`bhive calibrate`) recovers the same per-entry
 //! `(latency, port set)` pairs from targeted microbenchmarks and emits
 //! them as JSON; this module is the layer that lets a fitted JSON table
-//! be swapped back in — per [`Uarch`](crate::Uarch) instance, or
-//! process-wide for every [`UarchKind::desc`] lookup — without
-//! recompiling.
+//! be swapped back in without recompiling: [`fitted_uarch`] returns the
+//! patched [`Uarch`](crate::Uarch), and the caller carries it by value
+//! into the run.
 //!
 //! An override is keyed by a stable *entry key* (see
 //! [`crate::tables::entry_key`]): the name of one row of the
@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::RwLock;
 
 /// Schema tag of the fitted-tables JSON file.
 pub const FITTED_TABLES_SCHEMA: &str = "bhive-tables/v1";
@@ -138,7 +137,7 @@ impl FittedTables {
             return Err(TableLoadError::Schema(doc.schema));
         }
         let kind = UarchKind::parse(&doc.uarch).ok_or(TableLoadError::UnknownUarch(doc.uarch))?;
-        let port_limit = 1u16 << builtin(kind).num_ports;
+        let port_limit = 1u16 << kind.desc().num_ports;
         if let Some((key, entry)) = doc
             .entries
             .iter()
@@ -204,50 +203,16 @@ impl fmt::Display for TableLoadError {
 
 impl std::error::Error for TableLoadError {}
 
-// ---------------------------------------------------------------------
-// Process-wide installed tables
-// ---------------------------------------------------------------------
-
-fn kind_index(kind: UarchKind) -> usize {
-    match kind {
-        UarchKind::IvyBridge => 0,
-        UarchKind::Haswell => 1,
-        UarchKind::Skylake => 2,
+/// The description of `kind` with `overrides` applied: the shipped
+/// description itself when the set is empty, otherwise one leaked patched
+/// copy. Nothing global changes: the caller passes the result to
+/// whatever runs on it (a profiler, a model, a cache), which is how
+/// `--tables` swaps a calibrated table into a run.
+pub fn fitted_uarch(kind: UarchKind, overrides: TableOverrides) -> &'static Uarch {
+    if overrides.is_empty() {
+        return kind.desc();
     }
-}
-
-static INSTALLED: RwLock<[Option<&'static Uarch>; 3]> = RwLock::new([None, None, None]);
-
-/// Installs `overrides` process-wide for `kind`: every subsequent
-/// [`UarchKind::desc`] call returns the overridden description. This is
-/// how `--tables` swaps a calibrated table into a full `measure`/`serve`
-/// run; the installed description is leaked (one allocation per install).
-///
-/// Tests that need an overridden uarch should prefer
-/// [`Uarch::with_overrides`] + [`Uarch::leak`] — this registry is
-/// process-global state.
-pub fn install_tables(kind: UarchKind, overrides: TableOverrides) -> &'static Uarch {
-    let desc = builtin(kind).with_overrides(overrides).leak();
-    INSTALLED.write().expect("tables registry poisoned")[kind_index(kind)] = Some(desc);
-    desc
-}
-
-/// The installed description for `kind`, if [`install_tables`] ran.
-pub(crate) fn installed(kind: UarchKind) -> Option<&'static Uarch> {
-    *INSTALLED
-        .read()
-        .expect("tables registry poisoned")
-        .get(kind_index(kind))
-        .expect("kind index in range")
-}
-
-/// The compiled-in description, bypassing the installed-tables registry.
-pub fn builtin(kind: UarchKind) -> &'static Uarch {
-    match kind {
-        UarchKind::IvyBridge => Uarch::ivy_bridge(),
-        UarchKind::Haswell => Uarch::haswell(),
-        UarchKind::Skylake => Uarch::skylake(),
-    }
+    kind.desc().with_overrides(overrides).leak()
 }
 
 #[cfg(test)]
@@ -318,7 +283,7 @@ mod tests {
 
     #[test]
     fn with_overrides_separates_fingerprints() {
-        let base = builtin(UarchKind::IvyBridge);
+        let base = UarchKind::IvyBridge.desc();
         assert_eq!(base.table_fingerprint(), 0);
         let mut ov = TableOverrides::new();
         ov.set("shift", 2, ports!(0));

@@ -5,11 +5,11 @@
 //! inconsistent with what the measurement framework observes.
 
 use bhive_learn::calibrate::{calibrate, CalibrationOptions};
-use bhive_uarch::{builtin, UarchKind};
+use bhive_uarch::UarchKind;
 
 fn audit(kind: UarchKind) {
     let outcome = calibrate(
-        builtin(kind),
+        kind.desc(),
         &CalibrationOptions {
             quick: false,
             ..Default::default()
@@ -40,7 +40,7 @@ fn audit(kind: UarchKind) {
             entry.port_class
         );
         // Zero drift also pins the canonical pick to the shipped mask,
-        // so a fitted-table measure run is byte-identical to builtin.
+        // so a fitted-table measure run is byte-identical to the shipped one.
         assert_eq!(
             entry.canonical_ports, entry.shipped_ports,
             "{kind:?}/{key}: canonical mask"

@@ -3,7 +3,7 @@
 //! fields into a `TableLoadError` or a valid table — never a panic, and
 //! never a table the timing model cannot run.
 
-use bhive_uarch::{builtin, ports, FittedTables, TableOverrides, UarchKind};
+use bhive_uarch::{ports, FittedTables, TableOverrides, UarchKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -79,7 +79,7 @@ fn check(text: &str) -> Result<(), TestCaseError> {
     let Ok((kind, overrides)) = FittedTables::from_json(text) else {
         return Ok(());
     };
-    let ports = builtin(kind).num_ports;
+    let ports = kind.desc().num_ports;
     for (key, entry) in &overrides.entries {
         prop_assert!(entry.latency >= 1, "{key}: zero latency accepted");
         prop_assert!(entry.ports != 0, "{key}: empty port set accepted");

@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 4. Why llvm-mca overpredicts: the schedules disagree. ---
-    let iaca = bhive::models::IacaModel::new(UarchKind::Haswell);
-    let mca = bhive::models::McaModel::new(UarchKind::Haswell);
+    let iaca = bhive::models::IacaModel::new(UarchKind::Haswell.desc());
+    let mca = bhive::models::McaModel::new(UarchKind::Haswell.desc());
     use bhive::models::ThroughputModel;
     for model in [&iaca as &dyn ThroughputModel, &mca] {
         if let Some(schedule) = model.schedule(&block) {

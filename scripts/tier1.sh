@@ -6,11 +6,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 # The workspace's `default-members` make this every suite of the root
-# package and of each crate: the sim differential suites (the split
-# prepare/simulate path against the reference pipeline, the predecoded
-# `ExecOp` executor against the reference interpreter, and the cache-only
-# warm-up of `simulate_double` against the literal pair), harness chaos
-# and observability, core sharding, serve lifecycle, chaos and
+# package, of each crate and of each vendored stand-in: the sim
+# differential suites (the split prepare/simulate path against the
+# reference pipeline, the predecoded `ExecOp` executor against the
+# reference interpreter, and the cache-only warm-up of `simulate_double`
+# against the literal pair), harness chaos, observability and trace-log
+# fuzzing, core sharding and `--tables`, serve lifecycle, chaos and
 # untrusted-input fuzzing, learn calibration round trips, and the rest.
 cargo test -q
 cargo build --examples
@@ -46,6 +47,24 @@ wait "$victim" 2>/dev/null || true
 "$bhive" measure --workers 2 --scale 25 --seed 7 --threads 2 \
     --cache "$shard_dir/cache" >"$shard_dir/sharded.csv" 2>/dev/null
 cmp "$shard_dir/serial.csv" "$shard_dir/sharded.csv"
+# Fitted-tables smoke: a calibrated Haswell table with the alu row made
+# slower changes the CSV, and a 2-worker sharded run with the same
+# --tables (forwarded to every worker) matches the serial one.
+"$bhive" calibrate --uarch hsw --quick --no-cache \
+    --report "$shard_dir/calibration_report.json" \
+    --out "$shard_dir/fitted.json" >/dev/null 2>&1
+sed '/"alu": {/,/}/ s/"latency": [0-9]*,/"latency": 3,/' \
+    "$shard_dir/fitted.json" >"$shard_dir/hot.json"
+"$bhive" measure --scale 25 --seed 7 --threads 2 --no-cache \
+    --tables "$shard_dir/hot.json" >"$shard_dir/hot-serial.csv" 2>/dev/null
+"$bhive" measure --workers 2 --scale 25 --seed 7 --threads 2 \
+    --cache "$shard_dir/hot-cache" --tables "$shard_dir/hot.json" \
+    >"$shard_dir/hot-sharded.csv" 2>/dev/null
+cmp "$shard_dir/hot-serial.csv" "$shard_dir/hot-sharded.csv"
+if cmp -s "$shard_dir/serial.csv" "$shard_dir/hot-serial.csv"; then
+    echo "tier-1: --tables left the measured CSV unchanged" >&2
+    exit 1
+fi
 # Serve smoke: spawn the daemon on a unix socket, roundtrip a cold
 # miss, a warm hit, and a malformed request through the protocol
 # client, then SIGTERM it and assert a clean drain (exit 0).

@@ -138,8 +138,8 @@ fn ithemal_training_imbalance_ablation() {
         120,
         1,
     );
-    let scalar_model = IthemalModel::train(&scalar_train, uarch, IthemalConfig::default());
-    let vector_model = IthemalModel::train(&vector_train, uarch, IthemalConfig::default());
+    let scalar_model = IthemalModel::train(&scalar_train, uarch.desc(), IthemalConfig::default());
+    let vector_model = IthemalModel::train(&vector_train, uarch.desc(), IthemalConfig::default());
 
     // Held-out vectorized evaluation set.
     let mut rng = SmallRng::seed_from_u64(99);

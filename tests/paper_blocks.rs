@@ -22,16 +22,16 @@ fn division_case_study() {
     // Paper: measured 21.62.
     assert!((18.0..=26.0).contains(&measured), "measured {measured}");
     // IACA and llvm-mca confuse the 64/32 divide with the 128/64 form.
-    let iaca = IacaModel::new(UarchKind::Haswell)
+    let iaca = IacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
-    let mca = McaModel::new(UarchKind::Haswell)
+    let mca = McaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
     assert!(iaca > 3.0 * measured, "iaca {iaca} vs {measured}");
     assert!(mca > 3.0 * measured, "mca {mca} vs {measured}");
     // OSACA's pressure analysis under-predicts the latency-bound block.
-    let osaca = OsacaModel::new(UarchKind::Haswell)
+    let osaca = OsacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
     assert!(osaca < measured, "osaca {osaca} vs {measured}");
@@ -43,13 +43,13 @@ fn zero_idiom_case_study() {
     let measured = measure(&block);
     // Paper: measured 0.25 (four idioms rename per cycle).
     assert!((0.2..=0.4).contains(&measured), "measured {measured}");
-    let iaca = IacaModel::new(UarchKind::Haswell)
+    let iaca = IacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
-    let mca = McaModel::new(UarchKind::Haswell)
+    let mca = McaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
-    let osaca = OsacaModel::new(UarchKind::Haswell)
+    let osaca = OsacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
     // IACA knows the idiom; llvm-mca and OSACA charge a real XOR (1.00).
@@ -64,10 +64,10 @@ fn updcrc_case_study() {
     let measured = measure(&block);
     // Paper: measured 8.25 (our simulated Haswell: same regime).
     assert!((5.0..=11.0).contains(&measured), "measured {measured}");
-    let iaca = IacaModel::new(UarchKind::Haswell)
+    let iaca = IacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
-    let mca = McaModel::new(UarchKind::Haswell)
+    let mca = McaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .expect("handled");
     // IACA close; llvm-mca overpredicts via the load-op collapse.
@@ -77,7 +77,7 @@ fn updcrc_case_study() {
     );
     assert!(mca > measured * 1.4, "mca {mca} vs {measured}");
     // OSACA's parser fails on the byte-memory xor.
-    assert!(OsacaModel::new(UarchKind::Haswell)
+    assert!(OsacaModel::new(UarchKind::Haswell.desc())
         .predict(&block)
         .is_none());
 }
@@ -85,10 +85,10 @@ fn updcrc_case_study() {
 #[test]
 fn schedules_explain_the_updcrc_gap() {
     let block = special::updcrc();
-    let iaca = IacaModel::new(UarchKind::Haswell)
+    let iaca = IacaModel::new(UarchKind::Haswell.desc())
         .schedule(&block)
         .expect("schedule");
-    let mca = McaModel::new(UarchKind::Haswell)
+    let mca = McaModel::new(UarchKind::Haswell.desc())
         .schedule(&block)
         .expect("schedule");
     // Instruction 3 is `xor al, [rdi-1]`, instruction 2 the serial
