@@ -8,9 +8,9 @@
 //!
 //! 1. **Mapping stage** ([`monitor`]): execute the unrolled block in a
 //!    "child" machine; intercept each page fault; map the faulting virtual
-//!    page (to a *single shared physical page* in the full configuration);
-//!    re-initialize all registers and memory and restart from the top, so
-//!    the final measured address trace is identical to the mapping trace.
+//!    page (to a *single shared physical page* in the full configuration)
+//!    and resume at the faulting instruction, which yields exactly the
+//!    trace the paper's re-initialize-and-restart loop ends with.
 //! 2. **Measurement stage** ([`Profiler::profile`]): run the block at two
 //!    unroll factors, 16 timed trials each; reject trials with any L1D/L1I
 //!    miss or context switch; require at least 8 *identical* clean timings;

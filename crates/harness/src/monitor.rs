@@ -4,9 +4,12 @@
 //! parent intercepts each SIGSEGV, maps the faulting page, resets the
 //! child's registers and memory, and restarts the measure routine from the
 //! top. Here the "child" is the simulated machine and the fault arrives as
-//! an [`ExecFault::Seg`]; everything else — including the full
-//! re-initialization on every restart so the final address trace is
-//! identical to the mapping trace — is the same.
+//! an [`ExecFault::Seg`]. The monitor initializes once and, after mapping
+//! the page, resumes at the faulting instruction instead of restarting:
+//! the completed prefix never touched the new page, so a restart would
+//! replay it bit for bit into the same registers, memory and trace, and
+//! a faulting instruction changes nothing (DESIGN.md §18). The mapped
+//! pages, fault count and final trace are the restart loop's.
 
 use crate::config::{PageMapping, ProfileConfig};
 use crate::failure::ProfileFailure;
@@ -22,7 +25,8 @@ const USER_SPACE_BOTTOM: u64 = 0x1000;
 /// Result of a successful mapping stage.
 #[derive(Debug)]
 pub struct MappingOutcome {
-    /// The dynamic trace of the final (fault-free) execution.
+    /// The dynamic trace of the whole run: identical to the final,
+    /// fault-free execution of the paper's restart loop.
     pub trace: Vec<DynInst>,
     /// Number of distinct virtual pages mapped for the block.
     pub mapped_pages: usize,
@@ -31,7 +35,7 @@ pub struct MappingOutcome {
 }
 
 /// Runs the mapping stage: executes `unroll` copies of the block,
-/// servicing page faults until the block runs fault-free (or a
+/// servicing page faults until the block runs to completion (or a
 /// non-recoverable fault / the fault budget kills it).
 ///
 /// On success the machine's memory holds the final page mapping and the
@@ -56,7 +60,7 @@ pub fn monitor(
 
 /// [`monitor`] with an observability sink: every successfully serviced
 /// page fault is reported as [`AttemptEvent::PageMapped`] before the
-/// block is re-executed. The sink receives only deterministic,
+/// block resumes. The sink receives only deterministic,
 /// cycle/ordinal-valued data — never the wall clock — so traces built
 /// from it are bit-identical across thread counts.
 pub fn monitor_observed(
@@ -96,16 +100,14 @@ fn monitor_into(
     let mut faults = 0u32;
     let mut shared_page: Option<PhysPage> = None;
     let fill = config.fill;
+    // Fig. 2's initialization: registers, flags and memory values reset.
+    machine.reset(fill);
+    machine.set_ftz_daz(config.disable_gradual_underflow);
+    machine.memory_mut().refill_all(fill);
+    trace.clear();
 
     loop {
-        // Full re-initialization before every attempt (Fig. 2: registers,
-        // memory values and flags are reset so the memory-address trace
-        // reproduces exactly).
-        machine.reset(config.fill);
-        machine.set_ftz_daz(config.disable_gradual_underflow);
-        machine.memory_mut().refill_all(fill);
-
-        match machine.execute_unrolled_into(insts, unroll, trace) {
+        match machine.resume_unrolled_into(insts, unroll, trace) {
             Ok(()) => {
                 return Ok((machine.memory().mapped_page_count(), faults));
             }

@@ -208,12 +208,14 @@ impl Profiler {
             mapped_pages: mapping.mapped_pages,
         });
 
-        // The monitor's final execution ran fault-free from exactly the
-        // initial state the paper's `measure` routine re-creates (reset +
-        // FTZ/DAZ + refill), so its trace *is* the measurement trace —
-        // re-executing it would reproduce it bit for bit. Prepare it once;
-        // both unroll factors replay it (the lo-factor trace is a prefix,
-        // because execution is deterministic).
+        // The monitor resumed each fault in place, which is bit-identical
+        // to the paper's restart from the top (DESIGN.md §18), so its
+        // trace is what a fault-free execution under the final mapping,
+        // from the initial state the paper's `measure` routine re-creates
+        // (reset + FTZ/DAZ + refill), produces: it *is* the measurement
+        // trace, and re-executing would reproduce it bit for bit. Prepare
+        // it once; both unroll factors replay it (the lo-factor trace is
+        // a prefix, because execution is deterministic).
         let layout = CodeLayout::from_spans(spans, CODE_BASE);
         // The machine caches the static half of the model (uop recipes,
         // slot tables, fusion flags) alongside the block's lowering, so

@@ -135,16 +135,20 @@ pub(super) fn execute(
             write_scalar_operand(&ops[0], addr, state, mem, fx)?;
         }
         Push => {
+            // `rsp` moves only once the store has landed.
             let value = read_scalar_operand(&ops[0], state, mem, fx)?;
             let rsp = state.gpr64(Gpr::Rsp).wrapping_sub(8);
-            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
             store_to(rsp, 8, value, state, mem, fx)?;
+            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
         }
         Pop => {
+            // `pop [rsp + d]` addresses with the incremented `rsp`; a
+            // faulting store puts the old one back.
             let rsp = state.gpr64(Gpr::Rsp);
             let value = load_from(rsp, 8, state, mem, fx)?;
             state.set_gpr(Gpr::Rsp, OpSize::Q, rsp.wrapping_add(8));
-            write_scalar_operand(&ops[0], value, state, mem, fx)?;
+            write_scalar_operand(&ops[0], value, state, mem, fx)
+                .inspect_err(|_| state.set_gpr(Gpr::Rsp, OpSize::Q, rsp))?;
         }
         Add | Adc | Sub | Sbb | Cmp => {
             let a = read_scalar_operand(&ops[0], state, mem, fx)?;

@@ -108,8 +108,8 @@ pub(super) fn execute(
         ExecOp::Push { src } => {
             let value = read_sop(src, state, mem, fx)?;
             let rsp = state.gpr64(Gpr::Rsp).wrapping_sub(8);
-            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
             let paddr = mem.write_scalar_paddr(rsp, 8, value)?;
+            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
             fx.store = Some(MemAccess {
                 vaddr: rsp,
                 paddr,
@@ -127,7 +127,8 @@ pub(super) fn execute(
                 write: false,
             });
             state.set_gpr(Gpr::Rsp, OpSize::Q, rsp.wrapping_add(8));
-            write_sop(dst, value, state, mem, fx)?;
+            write_sop(dst, value, state, mem, fx)
+                .inspect_err(|_| state.set_gpr(Gpr::Rsp, OpSize::Q, rsp))?;
         }
         ExecOp::Arith {
             sel,

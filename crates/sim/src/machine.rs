@@ -45,7 +45,7 @@ struct TimingArena {
 /// structural instruction comparison (a hash collision can therefore slow
 /// a lookup down but never corrupt one). Lives in the arena so it
 /// survives [`Machine::recycle`]: the harness profiles one block per
-/// recycle, so every monitor fault-restart, both unroll factors, and each
+/// recycle, so every monitor fault resume, both unroll factors, and each
 /// retry escalation of the same block reuse one lowering instead of
 /// re-decoding the operand/mnemonic enums per dynamic instruction.
 #[derive(Debug, Default)]
@@ -233,9 +233,9 @@ impl Machine {
     /// # Errors
     ///
     /// Returns the first [`ExecFault`] (page fault, divide error, invalid
-    /// opcode). State and memory retain the effects of instructions that
-    /// executed before the fault, as on real hardware; the harness always
-    /// re-initializes before retrying.
+    /// opcode). The faulting instruction leaves registers, flags and
+    /// memory unchanged; the instructions before it keep their effects,
+    /// as on real hardware.
     pub fn execute_unrolled(
         &mut self,
         insts: &[Inst],
@@ -249,11 +249,6 @@ impl Machine {
     /// Like [`Machine::execute_unrolled`], but fills a caller-owned buffer
     /// (cleared first) so the harness can reuse one allocation per worker.
     ///
-    /// Executes over the block's predecoded lowering (see
-    /// `crate::exec::lower`), obtained from the machine's one-entry
-    /// lowering cache: the per-instruction operand/mnemonic decode is paid
-    /// once per block, not once per dynamic instruction of every restart.
-    ///
     /// # Errors
     ///
     /// Returns the first [`ExecFault`]; `trace` holds the instructions
@@ -265,6 +260,31 @@ impl Machine {
         trace: &mut Vec<DynInst>,
     ) -> Result<(), ExecFault> {
         trace.clear();
+        self.resume_unrolled_into(insts, unroll, trace)
+    }
+
+    /// Continues an unrolled execution at dynamic instruction
+    /// `trace.len()`, appending the rest to `trace`, which must hold the
+    /// prefix this machine already executed. A fault leaves the faulting
+    /// instruction's registers, flags and memory untouched and `trace` at
+    /// the completed prefix, so mapping the page and calling this again
+    /// ends exactly where a restart from the top would.
+    ///
+    /// Executes over the block's predecoded lowering (see
+    /// `crate::exec::lower`), obtained from the machine's one-entry
+    /// lowering cache: the per-instruction operand/mnemonic decode is paid
+    /// once per block, not once per dynamic instruction of every call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ExecFault`]; `trace` holds the instructions
+    /// executed before it.
+    pub fn resume_unrolled_into(
+        &mut self,
+        insts: &[Inst],
+        unroll: u32,
+        trace: &mut Vec<DynInst>,
+    ) -> Result<(), ExecFault> {
         self.ensure_lowered(insts);
         let Machine {
             uarch,
@@ -279,17 +299,19 @@ impl Machine {
         if lowered.uses_avx2 && !uarch.supports_avx2 {
             return Err(ExecFault::InvalidOpcode);
         }
-        // Materialize the whole trace up front with one bulk zeroing pass,
+        // Materialize the rest of the trace with one bulk zeroing pass,
         // then let each kernel call record its effects straight into its
         // slot: no per-instruction 80-byte push temporaries and no
         // `InstEffects` bounced through return values. On a fault the
         // trace is truncated to the completed prefix, matching the
         // reference loop's push-after-execute order.
-        let total = lowered.ops.len() * unroll as usize;
+        let n = lowered.ops.len();
+        let total = n * unroll as usize;
+        let mut filled = trace.len();
         trace.resize(total, DynInst::default());
-        let mut filled = 0usize;
-        for copy in 0..unroll {
-            for (static_idx, op) in lowered.ops.iter().enumerate() {
+        while filled < total {
+            let copy = (filled / n) as u32;
+            for (static_idx, op) in lowered.ops.iter().enumerate().skip(filled % n) {
                 let slot = &mut trace[filled];
                 slot.static_idx = static_idx;
                 slot.copy = copy;

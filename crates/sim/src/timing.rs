@@ -13,15 +13,17 @@
 //!
 //! * [`TimingModel::prepare_into`] turns a trace into a [`PreparedTrace`]:
 //!   the dynamic uop stream with resolved latencies, dependency edges,
-//!   memory addresses, and the frontend fetch/L1I-probe schedule — laid
-//!   out structure-of-arrays so the cycle loop streams through parallel
-//!   `ports`/`latency`/`dep_*` columns instead of chasing struct fields.
+//!   memory addresses, and the frontend fetch/L1I-probe schedule —
+//!   written straight into one packed issue record per uop and one
+//!   rename/retire record per instruction, so the cycle loop touches one
+//!   record where it would otherwise gather from parallel columns.
 //! * [`TimingModel::simulate_with`] replays a prepared trace (or any
 //!   prefix of it) against concrete cache state, which is the only input
 //!   that differs between warm-up and measured runs. Wake-ups mature
 //!   through a pending calendar drained by one branchless compaction
 //!   loop, dependency resolution uses consumer wake-up lists instead of
-//!   rescanning producer lists every cycle, and stretches of cycles where
+//!   rescanning producer lists every cycle, the issue scan starts at the
+//!   retire head instead of uop 0, and stretches of cycles where
 //!   nothing can happen are skipped in one step — all without changing a
 //!   single observable bit.
 //! * [`TimingModel::warm_caches`] produces the cache state a warm-up
@@ -216,8 +218,8 @@ fn vec_slot(n: u8) -> u8 {
     16 + n
 }
 
-/// Reference-path dynamic uop (AoS). The prepared hot path stores the
-/// same fields as parallel columns in [`PreparedTrace`].
+/// Reference-path dynamic uop. The prepared hot path packs the same
+/// fields into [`PreparedTrace`]'s `UopMeta` records and `dep_*` columns.
 #[derive(Debug, Clone)]
 struct DynUop {
     ports: u8,
@@ -311,7 +313,7 @@ impl ChunkTable {
 
 /// Issue-time attributes of one uop, packed into a single record so the
 /// scheduler's issue block costs one cache-line touch instead of one per
-/// SoA column. The consumer list is
+/// attribute. The consumer list is
 /// `use_pool[meta[u].use_start..meta[u + 1].use_start]` (the `meta`
 /// array carries a trailing sentinel).
 #[derive(Debug, Clone, Copy, Default)]
@@ -339,10 +341,11 @@ struct UopMeta {
 /// replayed by [`TimingModel::simulate_with`] for every warm-up/measured
 /// run.
 ///
-/// Layout is structure-of-arrays: one parallel column per uop attribute,
-/// indexed by uop id, plus forward dependency lists (`dep_*` into
-/// `dep_pool`) and their transpose (`use_*` into `use_pool`, the
-/// consumer wake-up lists the scheduler walks at issue time).
+/// Uops and instructions are packed records (`meta`, `inst_meta`)
+/// written directly by [`TimingModel::prepare_into`], beside forward
+/// dependency lists (`dep_*` into `dep_pool`) and their transpose
+/// (`use_*` into `use_pool`, the consumer wake-up lists the scheduler
+/// walks at issue time).
 ///
 /// All contents are *prefix-closed*: because functional execution is
 /// deterministic, the preparation of the first `n` dynamic instructions
@@ -352,15 +355,7 @@ struct UopMeta {
 /// a prefix lands in the suffix and is simply never consulted.)
 #[derive(Debug, Default)]
 pub struct PreparedTrace {
-    // ---- Per-uop columns (SoA), indexed by uop id ----
-    /// Candidate execution-port bitmask.
-    ports: Vec<u8>,
-    /// Resolved result latency in cycles (≥ 1).
-    latency: Vec<u32>,
-    /// Cycles the chosen port stays busy.
-    blocking: Vec<u32>,
-    /// True for store-data uops (their memory access is a write).
-    is_store: Vec<bool>,
+    // ---- Per-uop columns, indexed by uop id ----
     /// Producer list start: `dep_pool[dep_start..dep_start + dep_len]`.
     dep_start: Vec<u32>,
     /// Producer list length.
@@ -370,10 +365,9 @@ pub struct PreparedTrace {
     /// touches one cache line per access, not two.
     mem_addr: Vec<[u64; 2]>,
     /// Packed issue-time descriptors, one per uop plus a trailing
-    /// sentinel (for `use_start` range ends). Derived from the SoA
-    /// columns at the end of [`TimingModel::prepare_into`]: the
-    /// scheduler's issue block reads one 20-byte record instead of
-    /// gathering from eight parallel columns.
+    /// sentinel (for `use_start` range ends): the scheduler's issue block
+    /// reads one 20-byte record instead of gathering from parallel
+    /// columns.
     meta: Vec<UopMeta>,
     /// Bit per uop id: set iff the uop has no producers, i.e. its
     /// operands are ready from cycle 0. Copied wholesale into the
@@ -387,7 +381,7 @@ pub struct PreparedTrace {
     /// same way; `simulate_with` copies the replayed prefix only.
     inst_state0: Vec<InstState>,
     /// Packed per-instruction rename/retire record (uop span, slots,
-    /// elimination flag), mirroring the four per-instruction columns.
+    /// elimination flag).
     inst_meta: Vec<InstMeta>,
     /// All uop dependency lists, back to back (one allocation instead of
     /// a heap Vec per uop).
@@ -397,15 +391,6 @@ pub struct PreparedTrace {
     use_start: Vec<u32>,
     /// Consumer uop ids, grouped by producer.
     use_pool: Vec<u32>,
-    // ---- Per-instruction columns ----
-    /// First uop id of each instruction.
-    inst_first: Vec<u32>,
-    /// One past the last uop id of each instruction.
-    inst_last: Vec<u32>,
-    /// Fused-domain rename/retire slots.
-    inst_slots: Vec<u32>,
-    /// Eliminated at rename (no uops).
-    inst_elim: Vec<bool>,
     /// Per-instruction fetch clock before stalls: cumulative bytes / 16.
     fetch_base: Vec<u64>,
     /// L1I line probes as `(instruction index, line address)`, in program
@@ -422,17 +407,17 @@ pub struct PreparedTrace {
 impl PreparedTrace {
     /// Number of prepared dynamic instructions.
     pub fn len(&self) -> usize {
-        self.inst_first.len()
+        self.inst_meta.len()
     }
 
     /// True if nothing is prepared.
     pub fn is_empty(&self) -> bool {
-        self.inst_first.is_empty()
+        self.inst_meta.is_empty()
     }
 
     /// Number of unfused uops in the prepared stream.
     pub fn uop_count(&self) -> usize {
-        self.ports.len()
+        self.dep_len.len()
     }
 }
 
@@ -530,9 +515,8 @@ struct WakeState {
     _pad: u32,
 }
 
-/// Frontend-facing columns of one dynamic instruction, packed so the
-/// rename and retire loops load a single 12-byte record instead of
-/// striding over four parallel arrays.
+/// Frontend-facing attributes of one dynamic instruction, packed so the
+/// rename and retire loops load a single 12-byte record.
 #[derive(Debug, Clone, Copy, Default)]
 struct InstMeta {
     /// First uop id.
@@ -672,7 +656,7 @@ fn static_info(inst: &Inst, recipe: &Recipe) -> StaticInfo {
 /// tables, and the macro-fusion flags. It depends only on the block's
 /// instructions and the microarchitecture — never on a dynamic trace —
 /// so a machine caches it alongside the lowered block and hands it back
-/// to every retry attempt, monitor restart, and unroll factor (see
+/// to every retry attempt and unroll factor (see
 /// `Machine::take_timing_model`) instead of rebuilding it per attempt.
 #[derive(Debug, Clone)]
 pub struct StaticPrep {
@@ -812,10 +796,6 @@ impl<'a> TimingModel<'a> {
     /// replay over caches with this model's uarch geometry.
     pub fn prepare_into(&self, prep: &mut PreparedTrace, trace: &[DynInst], layout: &CodeLayout) {
         let PreparedTrace {
-            ports,
-            latency: latencies,
-            blocking: blockings,
-            is_store,
             dep_start,
             dep_len,
             mem_addr,
@@ -827,10 +807,6 @@ impl<'a> TimingModel<'a> {
             dep_pool,
             use_start,
             use_pool,
-            inst_first,
-            inst_last,
-            inst_slots,
-            inst_elim,
             fetch_base,
             probes,
             stores,
@@ -838,10 +814,6 @@ impl<'a> TimingModel<'a> {
             addr_deps,
             use_cursor,
         } = prep;
-        ports.clear();
-        latencies.clear();
-        blockings.clear();
-        is_store.clear();
         dep_start.clear();
         dep_len.clear();
         mem_addr.clear();
@@ -851,15 +823,11 @@ impl<'a> TimingModel<'a> {
         inst_state0.clear();
         inst_meta.clear();
         dep_pool.clear();
-        inst_first.clear();
-        inst_last.clear();
-        inst_slots.clear();
-        inst_elim.clear();
         fetch_base.clear();
         probes.clear();
         stores.reset();
-        ports.reserve(trace.len());
-        inst_first.reserve(trace.len());
+        meta.reserve(trace.len() + 1);
+        inst_meta.reserve(trace.len());
         fetch_base.reserve(trace.len());
 
         // ---- Frontend: fetch byte clock and the L1I probe schedule ----
@@ -891,11 +859,12 @@ impl<'a> TimingModel<'a> {
             let recipe = &self.recipes[dyn_inst.static_idx];
             let info = &self.statics[dyn_inst.static_idx];
             let fx = &dyn_inst.effects;
-            let first = u32::try_from(ports.len()).expect("uop count exceeds u32 range");
-            let mut frontend_slots = recipe.frontend_slots;
-            if self.fused_into_prev[dyn_inst.static_idx] {
-                frontend_slots = 0;
-            }
+            let first = u32::try_from(meta.len()).expect("uop count exceeds u32 range");
+            let slots = if self.fused_into_prev[dyn_inst.static_idx] {
+                0
+            } else {
+                u16::try_from(recipe.frontend_slots).expect("fused slot count exceeds u16")
+            };
 
             if recipe.eliminated {
                 match &info.elim {
@@ -912,10 +881,12 @@ impl<'a> TimingModel<'a> {
                     }
                     Elim::Inert | Elim::None => {}
                 }
-                inst_first.push(first);
-                inst_last.push(first);
-                inst_slots.push(frontend_slots);
-                inst_elim.push(true);
+                inst_meta.push(InstMeta {
+                    first,
+                    last: first,
+                    slots,
+                    elim: 1,
+                });
                 continue;
             }
 
@@ -995,11 +966,7 @@ impl<'a> TimingModel<'a> {
                     }
                 }
                 deps.truncate(pool_start + kept);
-                let id = u32::try_from(ports.len()).expect("uop count exceeds u32 range");
-                ports.push(uop.ports.mask());
-                latencies.push(latency);
-                blockings.push(blocking);
-                is_store.push(uop.kind == UopKind::StoreData);
+                let id = u32::try_from(meta.len()).expect("uop count exceeds u32 range");
                 dep_start
                     .push(u32::try_from(pool_start).expect("dependency pool exceeds u32 range"));
                 dep_len.push(u16::try_from(kept).expect("per-uop dependency list exceeds u16"));
@@ -1033,22 +1000,24 @@ impl<'a> TimingModel<'a> {
                     producers[slot as usize] = result_uop;
                 }
             }
+            let last = u32::try_from(meta.len()).expect("uop count exceeds u32 range");
             if let Some(access) = fx.store {
-                let std_uop = (ports.len() - 1) as u32;
                 for chunk in chunks(access.vaddr, access.width) {
-                    stores.insert(chunk, std_uop);
+                    stores.insert(chunk, last - 1);
                 }
             }
-            inst_first.push(first);
-            inst_last.push(u32::try_from(ports.len()).expect("uop count exceeds u32 range"));
-            inst_slots.push(frontend_slots);
-            inst_elim.push(false);
+            inst_meta.push(InstMeta {
+                first,
+                last,
+                slots,
+                elim: 0,
+            });
         }
 
         // ---- Transpose the dependency edges into wake-up lists ----
         // Counting sort over `dep_pool` (which is exactly the
         // concatenation of every uop's deduped producer list).
-        let n_uops = ports.len();
+        let n_uops = meta.len();
         assert!(
             n_uops < (1 << PEND_SHIFT),
             "prepared trace of {n_uops} uops exceeds the pending-calendar id space"
@@ -1091,29 +1060,11 @@ impl<'a> TimingModel<'a> {
             unresolved: u32::from(d),
             _pad: 0,
         }));
-        inst_state0.extend(
-            inst_first
-                .iter()
-                .zip(inst_last.iter())
-                .map(|(&f, &l)| InstState {
-                    done_at: 0,
-                    unissued: l - f,
-                    _pad: 0,
-                }),
-        );
-        for (((&first, &last), &slots), &elim) in inst_first
-            .iter()
-            .zip(inst_last.iter())
-            .zip(inst_slots.iter())
-            .zip(inst_elim.iter())
-        {
-            inst_meta.push(InstMeta {
-                first,
-                last,
-                slots: u16::try_from(slots).expect("fused slot count exceeds u16"),
-                elim: u16::from(elim),
-            });
-        }
+        inst_state0.extend(inst_meta.iter().map(|im| InstState {
+            done_at: 0,
+            unissued: im.last - im.first,
+            _pad: 0,
+        }));
     }
 
     /// Convenience wrapper: prepares `trace` into a fresh [`PreparedTrace`].
@@ -1175,7 +1126,7 @@ impl<'a> TimingModel<'a> {
         if n_insts == 0 {
             return Ok(result);
         }
-        let uop_limit = prep.inst_last[n_insts - 1] as usize;
+        let uop_limit = prep.inst_meta[n_insts - 1].last as usize;
         let SimScratch {
             completion,
             fetch_cycle,
@@ -1303,9 +1254,12 @@ impl<'a> TimingModel<'a> {
             // instruction has not renamed yet: a producer may resolve a
             // consumer that is still waiting on the frontend, and its
             // ready bit simply becomes visible once rename passes it.
-            // Each uop is examined O(1) times overall — once per drain
-            // plus once per issue attempt — instead of once per cycle
-            // spent waiting in the station.
+            // The scan starts at the retire head's word: a retired
+            // instruction has issued every uop, and an issued uop's bit
+            // is cleared and never set again, so every bit below the
+            // head's first uop is clear. Each uop is examined O(1) times
+            // overall — once per drain plus once per issue attempt —
+            // instead of once per cycle spent waiting in the station.
             let mut issued_this_cycle = 0u32;
             // Does any visible ready bit survive the issue scan? Exact
             // when the scan runs to completion, conservatively `true`
@@ -1338,7 +1292,13 @@ impl<'a> TimingModel<'a> {
                 } else {
                     uop_limit
                 };
-                let mut w = 0usize;
+                // `rs_used != 0`: some renamed uop has not issued, so its
+                // instruction has not retired and `next_retire` is valid.
+                let mut w = imeta[next_retire].first as usize >> 6;
+                debug_assert!(
+                    ready_bits[..w].iter().all(|&bits| bits == 0),
+                    "ready bit below the retire head's word"
+                );
                 while w * 64 < frontier {
                     // SAFETY: `w * 64 < frontier <= uop_limit`, and
                     // `ready_bits` holds one bit per prepared uop.
@@ -1757,7 +1717,7 @@ impl<'a> TimingModel<'a> {
             }
         }
 
-        let uop_limit = prep.inst_last[n_insts - 1] as usize;
+        let uop_limit = prep.inst_meta[n_insts - 1].last as usize;
         let line = l1d.line_bytes();
         let mut work = 0u64;
         let mut splits = 0u64;

@@ -10,9 +10,12 @@ cargo build --release
 # differential suites (the split prepare/simulate path against the
 # reference pipeline, the predecoded `ExecOp` executor against the
 # reference interpreter, and the cache-only warm-up of `simulate_double`
-# against the literal pair), harness chaos, observability and trace-log
+# against the literal pair), sim fault atomicity on both executors, the
+# harness resume-in-place monitor against the paper's restart loop
+# (`monitor_resume`), harness chaos, observability and trace-log
 # fuzzing, core sharding and `--tables`, serve lifecycle, chaos and
-# untrusted-input fuzzing, learn calibration round trips, and the rest.
+# untrusted-input fuzzing, learn calibration round trips, the root
+# golden pins of measured CSV output (`measured_golden`), and the rest.
 cargo test -q
 cargo build --examples
 cargo bench --no-run
