@@ -191,7 +191,6 @@ fn op_width(inst: &Inst) -> u8 {
 }
 
 pub(crate) use scalar::flags_read;
-#[allow(unused_imports)]
 pub(crate) use scalar::flags_written;
 
 #[cfg(test)]

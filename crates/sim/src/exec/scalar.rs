@@ -6,7 +6,7 @@ use super::{
 };
 use crate::mem::Memory;
 use crate::state::{CpuState, Flags};
-use bhive_asm::{Gpr, Inst, MemRef, Mnemonic, OpSize};
+use bhive_asm::{Gpr, Inst, Mnemonic, OpSize};
 
 /// Sign-extends `value` from `width` bytes to 64 bits.
 pub(super) fn sext(value: u64, width: u8) -> i64 {
@@ -414,11 +414,6 @@ pub(super) fn load_from(
     });
     Ok(value)
 }
-
-/// Suppress an unused-import warning: `MemRef` is used in signatures above
-/// via `effective_addr`.
-#[allow(dead_code)]
-fn _touch(_: &MemRef) {}
 
 #[cfg(test)]
 mod tests {

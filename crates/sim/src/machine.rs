@@ -329,8 +329,7 @@ impl Machine {
     /// `Mnemonic`/`Operand` enums per dynamic instruction via
     /// [`execute_inst`]. It is the semantic reference the lowered path in
     /// [`Machine::execute_unrolled_into`] is differentially tested
-    /// against (`sim/tests/exec_differential.rs`), and the baseline the
-    /// benchmark compares speedups to.
+    /// against (`sim/tests/exec_differential.rs`).
     ///
     /// # Errors
     ///
@@ -498,24 +497,6 @@ impl Machine {
         model.simulate_with(prep, n_insts, l1i, l1d, scratch)
     }
 
-    /// Times a previously recorded trace against cache state carried in
-    /// `l1i`/`l1d` (deterministic; no noise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonConvergence`] if the schedule exhausts its cycle
-    /// budget.
-    pub fn time_trace(
-        &self,
-        insts: &[Inst],
-        trace: &[DynInst],
-        layout: &CodeLayout,
-        l1i: &mut Cache,
-        l1d: &mut Cache,
-    ) -> Result<TimingResult, NonConvergence> {
-        TimingModel::new(insts, self.uarch).run(trace, layout, l1i, l1d)
-    }
-
     /// Samples measurement noise for a timing result and converts it to
     /// counter deltas (one "trial" of the paper's 16).
     pub fn observe(&mut self, timing: &TimingResult) -> PerfCounters {
@@ -638,8 +619,8 @@ mod tests {
         let layout = CodeLayout::from_block(block.insts(), CODE_BASE).unwrap();
         let mut l1i = Cache::new(machine.uarch().l1i);
         let mut l1d = Cache::new(machine.uarch().l1d);
-        let timing = machine
-            .time_trace(block.insts(), &trace, &layout, &mut l1i, &mut l1d)
+        let timing = TimingModel::new(block.insts(), machine.uarch())
+            .run(&trace, &layout, &mut l1i, &mut l1d)
             .unwrap();
         let samples: Vec<u64> = (0..64)
             .map(|_| machine.observe(&timing).core_cycles)

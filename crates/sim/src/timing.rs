@@ -41,7 +41,6 @@
 
 use crate::cache::Cache;
 use crate::exec::InstEffects;
-use crate::state::CpuState;
 use bhive_asm::{AsmError, Gpr, Inst};
 use bhive_uarch::{decompose_cached, macro_fuses, Recipe, Uarch, UarchKind, Uop, UopKind, VarLat};
 use std::collections::HashMap;
@@ -2212,10 +2211,6 @@ pub(crate) fn div_latency(kind: UarchKind, width: u8, quotient_bits: u32, rdx_ze
         _ => 15 + quotient_bits / 4,
     }
 }
-
-/// Touch the unused `CpuState` import used only in doc positions.
-#[allow(dead_code)]
-fn _state_marker(_: &CpuState) {}
 
 #[cfg(test)]
 mod tests {

@@ -15,10 +15,10 @@ cargo build --release
 # (`monitor_resume`), harness chaos, observability and trace-log
 # fuzzing, core sharding and `--tables`, serve lifecycle, chaos and
 # untrusted-input fuzzing, learn calibration round trips, the root
-# golden pins of measured CSV output (`measured_golden`), and the rest.
+# golden pins of measured CSV output and of a noisy retried run's cache
+# log bytes (`measured_golden`), and the rest.
 cargo test -q
 cargo build --examples
-cargo bench --no-run
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'
 add rax, 1

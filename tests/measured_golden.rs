@@ -3,12 +3,16 @@
 //! its failure mix and its total serviced page faults. The values were
 //! recorded before the monitor learned to resume page faults in place,
 //! so any change to what the mapping loop, the executors or the timing
-//! model produce shows up here first.
+//! model produce shows up here first. A second pin covers the on-disk
+//! cache log of a noisy run with retries.
 
 use bhive::asm::fnv1a_64;
 use bhive::corpus::{Corpus, Scale};
 use bhive::eval::MeasuredCorpus;
-use bhive::harness::{profile_corpus, PageMapping, ProfileConfig, Profiler, Supervision};
+use bhive::harness::{
+    profile_corpus, profile_corpus_cached, MeasurementCache, PageMapping, ProfileConfig, Profiler,
+    Supervision,
+};
 use bhive::uarch::UarchKind;
 
 /// Twenty blocks for each of the ten applications.
@@ -75,5 +79,35 @@ fn per_page_output_is_pinned() {
             ],
             faults_serviced: 258,
         },
+    );
+}
+
+/// A 1,100-row Haswell corpus (the seed-0xBE5C 250-block corpus walked
+/// with stride 7) profiled with realistic noise and a retry budget of
+/// 2 into a fresh cache at 1 thread must keep its success count and the
+/// exact bytes of the JSONL cache log. That covers trial sampling,
+/// modal filtering, the retry chain and the record encoding at once. At
+/// 2 threads the log's record order varies, so only 1 thread is pinned.
+#[test]
+fn cache_log_of_a_noisy_run_is_pinned() {
+    let unique = Corpus::generate(Scale::PerApp(25), 0xBE5C).basic_blocks();
+    let blocks: Vec<_> = (0..1100)
+        .map(|i| unique[(i * 7) % unique.len()].clone())
+        .collect();
+    let config = ProfileConfig::bhive().with_retries(2);
+    let profiler = Profiler::new(UarchKind::Haswell.desc(), config.clone());
+    let dir = std::env::temp_dir().join(format!("bhive-golden-cache-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cache =
+        MeasurementCache::open(&dir, UarchKind::Haswell, &config).expect("cache dir opens");
+    let report = profile_corpus_cached(&profiler, &blocks, 1, Some(&mut cache));
+    drop(cache);
+    let log = std::fs::read(MeasurementCache::log_path(&dir, UarchKind::Haswell))
+        .expect("cache log exists");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (report.successes(), log.len(), fnv1a_64(&log)),
+        (1042, 220_756, 0x56f3_de4b_a5c4_e529),
+        "(successes, cache log bytes, cache log FNV-1a) moved"
     );
 }
